@@ -201,11 +201,13 @@ type (
 	Schedule = train.Schedule
 	// Metrics summarizes a single-rank training step.
 	Metrics = train.Metrics
-	// A2AAlgo selects the MoE all-to-all algorithm.
+	// A2AAlgo selects the all-to-all algorithm (MoE dispatch and
+	// combine, Comm.BeginExchange, Comm.AllToAllvAlgo).
 	A2AAlgo = moe.A2AAlgo
 )
 
-// All-to-all algorithm choices for ModelConfig.Algo.
+// All-to-all algorithm choices for ModelConfig.Algo and the Comm
+// exchange calls.
 const (
 	A2AAuto         = moe.Auto
 	A2ADirect       = moe.Direct

@@ -115,28 +115,21 @@ func BenchmarkR4AllToAll(b *testing.B) {
 	machine := sunway.TestMachine(4, 4)
 	topo := simnet.New(machine, 2)
 	const ranks = 32
-	algos := []struct {
-		name string
-		f    func(c *mpi.Comm, ch [][]float32) [][]float32
-	}{
-		{"direct", func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllDirect(ch) }},
-		{"pairwise", func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) }},
-		{"bruck", func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) }},
-		{"hier", func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) }},
-	}
-	for _, algo := range algos {
+	for _, algo := range []mpi.Algo{mpi.Direct, mpi.Pairwise, mpi.Bruck, mpi.Hierarchical} {
 		for _, elems := range []int{16, 1024, 65536} {
-			b.Run(fmt.Sprintf("%s/floats=%d", algo.name, elems), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/floats=%d", algo, elems), func(b *testing.B) {
 				var sim float64
 				var interSN int64
 				for i := 0; i < b.N; i++ {
 					w := mpi.NewWorld(ranks, topo)
 					w.Run(func(c *mpi.Comm) {
-						chunks := make([][]float32, ranks)
-						for d := range chunks {
-							chunks[d] = make([]float32, elems)
+						counts := make([]int, ranks)
+						for d := range counts {
+							counts[d] = elems
 						}
-						algo.f(c, chunks)
+						sb := mpi.NewSendBuf(counts)
+						c.AllToAllvAlgo(algo, sb, mpi.FP32Wire).Release()
+						sb.Release()
 					})
 					sim += w.MaxTime()
 					interSN = w.Stats().MsgsAt(simnet.MachineLevel)
@@ -184,14 +177,14 @@ func BenchmarkAllToAll(b *testing.B) {
 						}
 						var local, remote *mpi.RecvBuf
 						if overlap {
-							ex := c.BeginExchange(true, codec)
+							ex := c.BeginExchange(mpi.Hierarchical, codec)
 							ex.PostAll(sb)
 							ex.Flush()
 							local = ex.RecvLocal()
 							c.Compute(window)
 							remote = ex.RecvRemote()
 						} else {
-							local = c.AllToAllvHier(sb, codec)
+							local = c.AllToAllvAlgo(mpi.Hierarchical, sb, codec)
 							c.Compute(window)
 						}
 						local.Release()

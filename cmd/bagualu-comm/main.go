@@ -59,20 +59,9 @@ func main() {
 		if elems < 1 {
 			elems = 1
 		}
-		run := func(f func(c *mpi.Comm, ch [][]float32) [][]float32) (float64, int64) {
-			w := mpi.NewWorld(*ranks, topo)
-			w.Run(func(c *mpi.Comm) {
-				chunks := make([][]float32, *ranks)
-				for d := range chunks {
-					chunks[d] = make([]float32, elems)
-				}
-				f(c, chunks)
-			})
-			return w.MaxTime(), w.Stats().MsgsAt(simnet.MachineLevel)
-		}
-		td, _ := run(func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllDirect(ch) })
-		tp, mf := run(func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-		th, mh := run(func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
+		td, _ := allToAll(*ranks, topo, elems, mpi.Direct)
+		tp, mf := allToAll(*ranks, topo, elems, mpi.Pairwise)
+		th, mh := allToAll(*ranks, topo, elems, mpi.Hierarchical)
 		a2a.AddRow(kb*1024, td, tp, th, mf, mh)
 	}
 	emit(a2a)
@@ -109,14 +98,14 @@ func main() {
 				}
 				var local, remote *mpi.RecvBuf
 				if over {
-					ex := cm.BeginExchange(true, c)
+					ex := cm.BeginExchange(mpi.Hierarchical, c)
 					ex.PostAll(sb)
 					ex.Flush()
 					local = ex.RecvLocal()
 					cm.Compute(window)
 					remote = ex.RecvRemote()
 				} else {
-					local = cm.AllToAllvHier(sb, c)
+					local = cm.AllToAllvAlgo(mpi.Hierarchical, sb, c)
 					cm.Compute(window)
 				}
 				local.Release()
@@ -166,20 +155,26 @@ func main() {
 		if elems < 1 {
 			elems = 1
 		}
-		run := func(f func(c *mpi.Comm, ch [][]float32) [][]float32) float64 {
-			w := mpi.NewWorld(p, tp2)
-			w.Run(func(c *mpi.Comm) {
-				chunks := make([][]float32, p)
-				for d := range chunks {
-					chunks[d] = make([]float32, elems)
-				}
-				f(c, chunks)
-			})
-			return w.MaxTime()
-		}
-		tpw := run(func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-		thi := run(func(c *mpi.Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
+		tpw, _ := allToAll(p, tp2, elems, mpi.Pairwise)
+		thi, _ := allToAll(p, tp2, elems, mpi.Hierarchical)
 		sc.AddRow(p, tpw, thi, tpw/thi)
 	}
 	emit(sc)
+}
+
+// allToAll runs one blocking FP32 all-to-allv of elems floats per rank
+// pair with algo on a fresh p-rank world, returning the virtual time
+// and the inter-supernode message count.
+func allToAll(p int, topo *simnet.Topology, elems int, algo mpi.Algo) (float64, int64) {
+	w := mpi.NewWorld(p, topo)
+	w.Run(func(c *mpi.Comm) {
+		counts := make([]int, p)
+		for d := range counts {
+			counts[d] = elems
+		}
+		sb := mpi.NewSendBuf(counts)
+		c.AllToAllvAlgo(algo, sb, mpi.FP32Wire).Release()
+		sb.Release()
+	})
+	return w.MaxTime(), w.Stats().MsgsAt(simnet.MachineLevel)
 }

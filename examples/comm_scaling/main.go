@@ -26,17 +26,19 @@ func main() {
 	for _, elems := range []int{16, 256, 4096} {
 		times := map[string]float64{}
 		msgs := map[string]int64{}
-		for name, f := range map[string]func(c *bagualu.Comm, ch [][]float32) [][]float32{
-			"pairwise":     func(c *bagualu.Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) },
-			"hierarchical": func(c *bagualu.Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) },
+		for name, algo := range map[string]bagualu.A2AAlgo{
+			"pairwise":     bagualu.A2APairwise,
+			"hierarchical": bagualu.A2AHierarchical,
 		} {
 			w := bagualu.NewWorld(32, topo)
 			w.Run(func(c *bagualu.Comm) {
-				chunks := make([][]float32, 32)
-				for d := range chunks {
-					chunks[d] = make([]float32, elems)
+				counts := make([]int, 32)
+				for d := range counts {
+					counts[d] = elems
 				}
-				f(c, chunks)
+				sb := bagualu.NewSendBuf(counts)
+				c.AllToAllvAlgo(algo, sb, bagualu.FP32Wire).Release()
+				sb.Release()
 			})
 			times[name] = w.MaxTime()
 			msgs[name] = w.Stats().MsgsAt(bagualu.LevelMachine)
@@ -82,7 +84,7 @@ func main() {
 			}
 			var local, remote *bagualu.RecvBuf
 			if overlap {
-				ex := c.BeginExchange(true, codec)
+				ex := c.BeginExchange(bagualu.A2AHierarchical, codec)
 				ex.PostAll(sb)
 				ex.Flush()
 				local = ex.RecvLocal()
@@ -91,7 +93,7 @@ func main() {
 				c.Compute(20e-6)
 				remote = ex.RecvRemote()
 			} else {
-				local = c.AllToAllvHier(sb, codec)
+				local = c.AllToAllvAlgo(bagualu.A2AHierarchical, sb, codec)
 				c.Compute(20e-6)
 			}
 			local.Release()

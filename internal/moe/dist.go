@@ -10,44 +10,17 @@ import (
 )
 
 // A2AAlgo selects the all-to-all algorithm used for MoE dispatch and
-// combine; Auto picks hierarchically when the communicator spans
-// supernodes.
-type A2AAlgo int
+// combine; it is mpi.Algo, re-exported so model configs can name it.
+type A2AAlgo = mpi.Algo
 
+// The algorithms, aliased from mpi (see mpi.Algo for each schedule).
 const (
-	// Auto lets the communicator choose by topology.
-	Auto A2AAlgo = iota
-	// Direct sends one eager message per destination.
-	Direct
-	// Pairwise uses P-1 balanced exchange rounds. On the flattened
-	// wire path it is equivalent to Direct (all sends are eager).
-	Pairwise
-	// Hierarchical aggregates at supernode leaders (the paper's
-	// algorithm).
-	Hierarchical
-	// Bruck uses the log-P-message Bruck exchange (latency-optimal
-	// flat baseline). FP32-only and blocking: the codec and overlap
-	// options do not apply to its multi-hop relaying.
-	Bruck
+	Auto         = mpi.Auto
+	Direct       = mpi.Direct
+	Pairwise     = mpi.Pairwise
+	Hierarchical = mpi.Hierarchical
+	Bruck        = mpi.Bruck
 )
-
-// String names the algorithm.
-func (a A2AAlgo) String() string {
-	switch a {
-	case Auto:
-		return "auto"
-	case Direct:
-		return "direct"
-	case Pairwise:
-		return "pairwise"
-	case Hierarchical:
-		return "hierarchical"
-	case Bruck:
-		return "bruck"
-	default:
-		return fmt.Sprintf("A2AAlgo(%d)", int(a))
-	}
-}
 
 // CommConfig selects the wire behavior of dispatch and combine.
 type CommConfig struct {
@@ -286,23 +259,6 @@ func (m *DistMoE) PhaseTiming() Timing { return m.Time }
 // per-comm, so aggregators must dedupe layers sharing one comm.
 func (m *DistMoE) Comm() *mpi.Comm { return m.comm }
 
-// hierWire decides the wire-layer algorithm for Algo.
-func (m *DistMoE) hierWire() bool {
-	switch m.Algo {
-	case Hierarchical:
-		return true
-	case Direct, Pairwise, Bruck:
-		return false
-	default:
-		return m.comm.SpansSupernodes() && m.comm.Size() >= 4
-	}
-}
-
-// overlapOn reports whether the two-phase receive path is active.
-func (m *DistMoE) overlapOn() bool {
-	return m.CommCfg.Overlap && m.Algo != Bruck
-}
-
 // postRemoteFirst posts every chunk of sb, cross-supernode
 // destinations first so their (expensive, high-latency) messages are
 // injected before the cheap local ones and spend the local compute
@@ -321,16 +277,14 @@ func (m *DistMoE) postRemoteFirst(ex *mpi.Exchange, sb *mpi.SendBuf) {
 	}
 }
 
-// exchangeBlocking runs sb through the configured algorithm as one
-// blocking flattened all-to-allv.
-func (m *DistMoE) exchangeBlocking(sb *mpi.SendBuf) *mpi.RecvBuf {
-	if m.Algo == Bruck {
-		return m.comm.AllToAllvBruck(sb)
-	}
-	ex := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
+// begin opens an exchange with the configured algorithm and codec and
+// posts every chunk of sb; the caller chooses how to receive. overlap
+// reports whether the two-phase receive path applies to it.
+func (m *DistMoE) begin(sb *mpi.SendBuf) (ex *mpi.Exchange, overlap bool) {
+	ex = m.comm.BeginExchange(m.Algo, m.CommCfg.Codec)
 	m.postRemoteFirst(ex, sb)
 	ex.Flush()
-	return ex.RecvAll()
+	return ex, m.CommCfg.Overlap && ex.Overlaps()
 }
 
 // groupRows assigns each row of a received leg to its target local
@@ -486,24 +440,16 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	overlap := m.overlapOn()
 	t0 = time.Now()
-	var ex *mpi.Exchange
 	var dispLocal, dispRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		dispLocal = m.comm.AllToAllvBruck(sb)
+	ex, overlap := m.begin(sb)
+	tl := time.Now()
+	if overlap {
+		dispLocal = ex.RecvLocal()
 	} else {
-		ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex, sb)
-		ex.Flush()
-		tl := time.Now()
-		if overlap {
-			dispLocal = ex.RecvLocal()
-		} else {
-			dispLocal = ex.RecvAll()
-		}
-		m.Time.DispatchLocal += time.Since(tl).Seconds()
+		dispLocal = ex.RecvAll()
 	}
+	m.Time.DispatchLocal += time.Since(tl).Seconds()
 	sb.Release()
 	m.Time.Dispatch += time.Since(t0).Seconds()
 
@@ -601,22 +547,16 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 
 	t0 = time.Now()
-	if m.Algo == Bruck {
-		m.combLocal = m.comm.AllToAllvBruck(csb)
+	ex2, _ := m.begin(csb)
+	if overlap {
+		tl := time.Now()
+		m.combLocal = ex2.RecvLocal()
+		m.Time.CombineLocal += time.Since(tl).Seconds()
+		tl = time.Now()
+		m.combRemote = ex2.RecvRemote()
+		m.Time.CombineRemote += time.Since(tl).Seconds()
 	} else {
-		ex2 := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex2, csb)
-		ex2.Flush()
-		if overlap {
-			tl := time.Now()
-			m.combLocal = ex2.RecvLocal()
-			m.Time.CombineLocal += time.Since(tl).Seconds()
-			tl = time.Now()
-			m.combRemote = ex2.RecvRemote()
-			m.Time.CombineRemote += time.Since(tl).Seconds()
-		} else {
-			m.combLocal = ex2.RecvAll()
-		}
+		m.combLocal = ex2.RecvAll()
 	}
 	csb.Release()
 	m.Time.Combine += time.Since(t0).Seconds()
@@ -654,7 +594,6 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tokens, d := dout.Shape[0], dout.Shape[1]
 	p := m.comm.Size()
-	overlap := m.overlapOn()
 
 	// Combine-weight gradients for the gate, and ŵ-scaled output
 	// gradients for the experts, staged flat per destination.
@@ -707,22 +646,15 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// Reverse dispatch of output gradients (the combine's backward).
 	t0 := time.Now()
-	var ex *mpi.Exchange
 	var dyLocal, dyRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		dyLocal = m.comm.AllToAllvBruck(dsb)
+	ex, overlap := m.begin(dsb)
+	tl := time.Now()
+	if overlap {
+		dyLocal = ex.RecvLocal()
 	} else {
-		ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex, dsb)
-		ex.Flush()
-		tl := time.Now()
-		if overlap {
-			dyLocal = ex.RecvLocal()
-		} else {
-			dyLocal = ex.RecvAll()
-		}
-		m.Time.CombineLocal += time.Since(tl).Seconds()
+		dyLocal = ex.RecvAll()
 	}
+	m.Time.CombineLocal += time.Since(tl).Seconds()
 	dsb.Release()
 	m.Time.Combine += time.Since(t0).Seconds()
 
@@ -780,7 +712,8 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Return input gradients to token owners (the dispatch's
 	// backward); the next layer needs every row, so this leg blocks.
 	t0 = time.Now()
-	ret := m.exchangeBlocking(rsb)
+	exRet, _ := m.begin(rsb)
+	ret := exRet.RecvAll()
 	rsb.Release()
 	m.Time.Dispatch += time.Since(t0).Seconds()
 

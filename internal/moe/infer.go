@@ -176,20 +176,12 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	overlap := m.overlapOn()
-	var ex *mpi.Exchange
 	var dispLocal, dispRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		dispLocal = m.comm.AllToAllvBruck(sb)
+	ex, overlap := m.begin(sb)
+	if overlap {
+		dispLocal = ex.RecvLocal()
 	} else {
-		ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex, sb)
-		ex.Flush()
-		if overlap {
-			dispLocal = ex.RecvLocal()
-		} else {
-			dispLocal = ex.RecvAll()
-		}
+		dispLocal = ex.RecvAll()
 	}
 	sb.Release()
 
@@ -242,18 +234,12 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 	}
 
 	var combLocal, combRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		combLocal = m.comm.AllToAllvBruck(csb)
+	ex2, _ := m.begin(csb)
+	if overlap {
+		combLocal = ex2.RecvLocal()
+		combRemote = ex2.RecvRemote()
 	} else {
-		ex2 := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex2, csb)
-		ex2.Flush()
-		if overlap {
-			combLocal = ex2.RecvLocal()
-			combRemote = ex2.RecvRemote()
-		} else {
-			combLocal = ex2.RecvAll()
-		}
+		combLocal = ex2.RecvAll()
 	}
 	csb.Release()
 	row := func(src, pos int) []float32 {

@@ -119,11 +119,16 @@ func (c *Comm) reduceTree(seq int64, stepBase, root int, data []float32, op Redu
 // result on every rank. It selects the hierarchical algorithm when
 // the communicator spans multiple supernodes, and the ring otherwise.
 func (c *Comm) AllReduce(data []float32, op ReduceOp) []float32 {
-	if c.spansSupernodes() && c.Size() >= 4 {
+	if c.prefersHier() {
 		return c.AllReduceHier(data, op)
 	}
 	return c.AllReduceRing(data, op)
 }
+
+// prefersHier is the one topology rule every collective selects its
+// algorithm by: take the hierarchical (supernode-leader) path when the
+// communicator spans supernodes and has at least 4 ranks.
+func (c *Comm) prefersHier() bool { return c.spansSupernodes() && c.Size() >= 4 }
 
 // spansSupernodes reports whether the communicator's members live in
 // more than one supernode.

@@ -368,38 +368,61 @@ func TestReduceScatter(t *testing.T) {
 	}
 }
 
-func checkAllToAll(t *testing.T, name string, p int, topo *simnet.Topology, f func(c *Comm, chunks [][]float32) [][]float32) {
+// checkAllToAll runs one AllToAllvAlgo with variable-length payloads
+// and one metadata int identifying each (src, dst) pair, and checks
+// every rank receives exactly what each source addressed to it.
+func checkAllToAll(t *testing.T, algo Algo, p int, topo *simnet.Topology) {
 	t.Helper()
 	w := NewWorld(p, topo)
 	w.Run(func(c *Comm) {
-		chunks := make([][]float32, p)
+		counts := make([]int, p)
+		for d := range counts {
+			counts[d] = (c.Rank()+d)%3 + 1
+		}
+		sb := NewSendBuf(counts)
 		for d := 0; d < p; d++ {
-			// Variable-length payload identifying (src, dst).
-			n := (c.Rank()+d)%3 + 1
-			chunks[d] = make([]float32, n)
-			for i := range chunks[d] {
-				chunks[d][i] = float32(c.Rank()*100 + d)
+			for i := 0; i < counts[d]; i++ {
+				sb.Append(d, []float32{float32(c.Rank()*100 + d)})
 			}
+			sb.AppendMeta(d, c.Rank()*100+d)
 		}
-		got := f(c, chunks)
-		if len(got) != p {
-			t.Errorf("%s p=%d: %d results", name, p, len(got))
-			return
-		}
+		got := c.AllToAllvAlgo(algo, sb, FP32Wire)
+		sb.Release()
+		defer got.Release()
 		for s := 0; s < p; s++ {
 			wantN := (s+c.Rank())%3 + 1
-			if len(got[s]) != wantN {
-				t.Errorf("%s p=%d rank=%d: from %d len %d want %d", name, p, c.Rank(), s, len(got[s]), wantN)
+			if got.Count(s) != wantN {
+				t.Errorf("%v p=%d rank=%d: from %d len %d want %d", algo, p, c.Rank(), s, got.Count(s), wantN)
 				return
 			}
-			for _, v := range got[s] {
+			for _, v := range got.Chunk(s) {
 				if v != float32(s*100+c.Rank()) {
-					t.Errorf("%s p=%d rank=%d: from %d value %v", name, p, c.Rank(), s, v)
+					t.Errorf("%v p=%d rank=%d: from %d value %v", algo, p, c.Rank(), s, v)
 					return
 				}
 			}
+			if m := got.Meta(s); len(m) != 1 || m[0] != s*100+c.Rank() {
+				t.Errorf("%v p=%d rank=%d: from %d meta %v", algo, p, c.Rank(), s, m)
+				return
+			}
 		}
 	})
+}
+
+// runAllToAll runs one blocking FP32 exchange of elems floats per rank
+// pair with algo and returns the world for its clocks and counters.
+func runAllToAll(p int, topo *simnet.Topology, elems int, algo Algo) *World {
+	w := NewWorld(p, topo)
+	w.Run(func(c *Comm) {
+		counts := make([]int, p)
+		for d := range counts {
+			counts[d] = elems
+		}
+		sb := NewSendBuf(counts)
+		c.AllToAllvAlgo(algo, sb, FP32Wire).Release()
+		sb.Release()
+	})
+	return w
 }
 
 func TestAllToAllAlgorithmsAgree(t *testing.T) {
@@ -409,28 +432,16 @@ func TestAllToAllAlgorithmsAgree(t *testing.T) {
 		if p < 8 {
 			tp = nil
 		}
-		checkAllToAll(t, "direct", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllDirect(ch) })
-		checkAllToAll(t, "pairwise", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-		checkAllToAll(t, "hier", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
-		checkAllToAll(t, "auto", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAll(ch) })
+		for _, algo := range []Algo{Direct, Pairwise, Hierarchical, Auto} {
+			checkAllToAll(t, algo, p, tp)
+		}
 	}
 }
 
 func TestAllToAllHierReducesInterSupernodeMessages(t *testing.T) {
 	topo := testTopo()
-	run := func(f func(c *Comm, ch [][]float32) [][]float32) int64 {
-		w := NewWorld(8, topo)
-		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 8)
-			for d := range chunks {
-				chunks[d] = make([]float32, 16)
-			}
-			f(c, chunks)
-		})
-		return w.Stats().MsgsAt(simnet.MachineLevel)
-	}
-	flat := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	hier := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
+	flat := runAllToAll(8, topo, 16, Pairwise).Stats().MsgsAt(simnet.MachineLevel)
+	hier := runAllToAll(8, topo, 16, Hierarchical).Stats().MsgsAt(simnet.MachineLevel)
 	// Flat: each of 8 ranks sends 4 cross-SN messages = 32. Hier:
 	// 2 leaders exchange 1 message each way = 2.
 	if hier >= flat {
@@ -446,38 +457,11 @@ func TestAllToAllHierFasterWhenLatencyBound(t *testing.T) {
 	// hierarchical aggregation must win in virtual time.
 	m := sunway.TestMachine(4, 4)
 	topo := simnet.New(m, 1) // 16 ranks, 4 supernodes
-	run := func(f func(c *Comm, ch [][]float32) [][]float32) float64 {
-		w := NewWorld(16, topo)
-		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 16)
-			for d := range chunks {
-				chunks[d] = make([]float32, 4) // tiny: latency-bound
-			}
-			f(c, chunks)
-		})
-		return w.MaxTime()
-	}
-	flat := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	hier := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
+	flat := runAllToAll(16, topo, 4, Pairwise).MaxTime()
+	hier := runAllToAll(16, topo, 4, Hierarchical).MaxTime()
 	if hier >= flat {
 		t.Fatalf("hier %v !< flat %v in latency-bound regime", hier, flat)
 	}
-}
-
-func TestAllToAllInts(t *testing.T) {
-	w := NewWorld(4, nil)
-	w.Run(func(c *Comm) {
-		chunks := make([][]int, 4)
-		for d := range chunks {
-			chunks[d] = []int{c.Rank()*10 + d}
-		}
-		got := c.AllToAllInts(chunks)
-		for s := 0; s < 4; s++ {
-			if got[s][0] != s*10+c.Rank() {
-				t.Errorf("rank %d from %d: %v", c.Rank(), s, got[s])
-			}
-		}
-	})
 }
 
 func TestSplit(t *testing.T) {
@@ -595,16 +579,22 @@ func TestManyRanksSmoke(t *testing.T) {
 		if sum[0] != 64 {
 			t.Errorf("allreduce = %v", sum[0])
 		}
-		chunks := make([][]float32, 64)
-		for d := range chunks {
-			chunks[d] = []float32{float32(c.Rank())}
+		counts := make([]int, 64)
+		for d := range counts {
+			counts[d] = 1
 		}
-		got := c.AllToAll(chunks)
-		for s := range got {
-			if got[s][0] != float32(s) {
-				t.Errorf("a2a from %d = %v", s, got[s])
+		sb := NewSendBuf(counts)
+		for d := range counts {
+			sb.Append(d, []float32{float32(c.Rank())})
+		}
+		got := c.AllToAllv(sb, FP32Wire)
+		sb.Release()
+		for s := 0; s < 64; s++ {
+			if got.Count(s) != 1 || got.Chunk(s)[0] != float32(s) {
+				t.Errorf("a2a from %d = %v", s, got.Chunk(s))
 			}
 		}
+		got.Release()
 	})
 }
 
@@ -645,20 +635,30 @@ func TestAllToAllBruckAgreesWithDirect(t *testing.T) {
 		if p != 8 {
 			tp = nil
 		}
-		checkAllToAll(t, "bruck", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) })
+		checkAllToAll(t, Bruck, p, tp)
 	}
 }
 
+// TestAllToAllBruckMessageCount pins the message schedules: Bruck
+// sends ceil(log2 P) messages per rank (metadata rides in the relay
+// frames, so there is no companion round), pairwise P-1 — on a flat
+// network and on a supernode topology with the FP16 codec alike.
 func TestAllToAllBruckMessageCount(t *testing.T) {
-	// Bruck sends ceil(log2 P) messages per rank vs P-1 for pairwise.
-	count := func(f func(c *Comm, ch [][]float32) [][]float32) int64 {
-		w := NewWorld(16, nil)
+	count := func(p int, topo *simnet.Topology, codec Codec, algo Algo) int64 {
+		w := NewWorld(p, topo)
 		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 16)
-			for d := range chunks {
-				chunks[d] = []float32{float32(c.Rank())}
+			counts := make([]int, p)
+			for d := range counts {
+				counts[d] = 1
 			}
-			f(c, chunks)
+			sb := NewSendBuf(counts)
+			for d := range counts {
+				sb.Append(d, []float32{float32(c.Rank())})
+				sb.AppendMeta(d, c.Rank())
+				sb.AppendMeta(d, d)
+			}
+			c.AllToAllvAlgo(algo, sb, codec).Release()
+			sb.Release()
 		})
 		var total int64
 		for l := simnet.SelfLevel; l <= simnet.MachineLevel; l++ {
@@ -666,13 +666,21 @@ func TestAllToAllBruckMessageCount(t *testing.T) {
 		}
 		return total
 	}
-	pair := count(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	bruck := count(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) })
-	if pair != 16*15 {
-		t.Fatalf("pairwise msgs = %d, want 240", pair)
-	}
-	if bruck != 16*4 {
-		t.Fatalf("bruck msgs = %d, want 64", bruck)
+	for _, tc := range []struct {
+		p, log2 int
+		topo    *simnet.Topology
+		codec   Codec
+	}{
+		{16, 4, nil, FP32Wire},
+		{5, 3, nil, FP32Wire},
+		{16, 4, simnet.New(sunway.TestMachine(4, 2), 2), FP16Wire},
+	} {
+		if got, want := count(tc.p, tc.topo, tc.codec, Pairwise), int64(tc.p*(tc.p-1)); got != want {
+			t.Errorf("p=%d %v: pairwise msgs = %d, want %d", tc.p, tc.codec, got, want)
+		}
+		if got, want := count(tc.p, tc.topo, tc.codec, Bruck), int64(tc.p*tc.log2); got != want {
+			t.Errorf("p=%d %v: bruck msgs = %d, want %d", tc.p, tc.codec, got, want)
+		}
 	}
 }
 
@@ -680,19 +688,8 @@ func TestAllToAllBruckFasterForTinyPayloads(t *testing.T) {
 	// With high per-message latency and tiny payloads Bruck's log-P
 	// message count must win over pairwise in virtual time.
 	topo := simnet.Uniform(10e-6, 100)
-	run := func(f func(c *Comm, ch [][]float32) [][]float32) float64 {
-		w := NewWorld(32, topo)
-		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 32)
-			for d := range chunks {
-				chunks[d] = []float32{1}
-			}
-			f(c, chunks)
-		})
-		return w.MaxTime()
-	}
-	pair := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	bruck := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) })
+	pair := runAllToAll(32, topo, 1, Pairwise).MaxTime()
+	bruck := runAllToAll(32, topo, 1, Bruck).MaxTime()
 	if bruck >= pair {
 		t.Fatalf("bruck %v !< pairwise %v for tiny payloads", bruck, pair)
 	}

@@ -33,7 +33,7 @@ func (c *Comm) ShardBounds(n int) []Shard {
 		out[0] = Shard{0, n}
 		return out
 	}
-	if !(c.spansSupernodes() && p >= 4) {
+	if !c.prefersHier() {
 		bounds := ringBounds(n, p)
 		for r := 0; r < p; r++ {
 			ch := (r + 1) % p
@@ -86,7 +86,7 @@ func (c *Comm) ReduceScatterShard(data []float32, op ReduceOp) ([]float32, Shard
 	if p == 1 {
 		return append([]float32(nil), data...), Shard{0, len(data)}
 	}
-	if c.spansSupernodes() && p >= 4 {
+	if c.prefersHier() {
 		return c.reduceScatterShardHier(seq, data, op)
 	}
 	acc := append([]float32(nil), data...)
@@ -156,7 +156,7 @@ func (c *Comm) AllGatherShard(shard []float32, n int) []float32 {
 	if p == 1 {
 		return append([]float32(nil), shard...)
 	}
-	if c.spansSupernodes() && p >= 4 {
+	if c.prefersHier() {
 		return c.allGatherShardHier(seq, shard, n)
 	}
 	out := make([]float32, n)

@@ -10,24 +10,25 @@ import (
 	"bagualu/internal/tensor"
 )
 
-// Wire-format layer: flattened all-to-allv over pooled buffers.
+// The all-to-all stack: flattened all-to-allv over pooled buffers.
 //
-// The legacy AllToAll* collectives exchange one allocated []float32
-// per rank pair and need a separate AllToAllInts round for routing
-// metadata. This layer replaces both with a single framed exchange:
+// Every all-to-all in the package — MoE dispatch and combine, and the
+// R4 micro-benchmarks — runs through one framed exchange:
 //
 //   - SendBuf / RecvBuf hold one contiguous pooled payload (counts
 //     header + offsets) instead of P slices, so a MoE dispatch stages
 //     and absorbs all tokens with two pool hits total.
 //   - Per-destination int metadata (MoE expert-slot ids) rides inside
-//     the data messages, eliminating the extra metadata round.
+//     the data messages; no algorithm needs a separate metadata round.
 //   - An optional FP16 codec encodes payloads that cross supernodes
 //     (simnet.MachineLevel — the expensive links) as raw half bit
 //     patterns, halving bytes on exactly the legs that dominate the
 //     paper's cost model. Intra-supernode legs stay FP32.
-//   - Exchange splits the collective into Post/Flush (eager sends) and
-//     RecvLocal/RecvRemote, so the caller can run local expert compute
-//     while cross-supernode traffic is in flight.
+//   - Exchange splits the collective into Post/Flush and
+//     RecvLocal/RecvRemote. Direct and Hierarchical send eagerly, so
+//     the caller can run local expert compute while cross-supernode
+//     traffic is in flight; Pairwise and Bruck stage at Post and run
+//     their round schedules inside the first receive.
 //
 // Ownership protocol: every message payload is staged into a pooled
 // buffer by the sender (message.staged); the receiver releases it
@@ -72,7 +73,48 @@ func ParseCodec(s string) (Codec, error) {
 	}
 }
 
-// Collective step numbers within one exchange's tag space.
+// Algo selects the schedule an Exchange runs.
+type Algo int
+
+const (
+	// Auto picks Hierarchical when the communicator spans supernodes
+	// and has at least 4 ranks, Direct otherwise.
+	Auto Algo = iota
+	// Direct sends one eager message per destination.
+	Direct
+	// Pairwise runs P-1 balanced rounds: in round s rank r sends to
+	// r+s and receives from r-s.
+	Pairwise
+	// Hierarchical aggregates cross-supernode chunks at supernode
+	// leaders (the paper's algorithm). It degrades to Direct on a
+	// communicator inside one supernode.
+	Hierarchical
+	// Bruck relays blocks in ⌈log₂P⌉ rounds: the fewest messages
+	// (latency-optimal flat baseline) at the cost of each datum
+	// crossing up to log₂P hops.
+	Bruck
+)
+
+// String names the algorithm.
+func (a Algo) String() string {
+	switch a {
+	case Auto:
+		return "auto"
+	case Direct:
+		return "direct"
+	case Pairwise:
+		return "pairwise"
+	case Hierarchical:
+		return "hierarchical"
+	case Bruck:
+		return "bruck"
+	default:
+		return fmt.Sprintf("Algo(%d)", int(a))
+	}
+}
+
+// Collective step numbers within one exchange's tag space. Bruck
+// numbers its relay rounds from 0 instead.
 const (
 	stepDirect = 0 // direct chunk (intra-supernode, or any in flat mode)
 	stepUp     = 1 // member -> leader aggregation
@@ -176,136 +218,10 @@ func (w WireStats) IntraBytes() int64 {
 // exchange counters.
 func (c *Comm) WireStats() WireStats { return c.wire }
 
-// SpansSupernodes reports whether the communicator's ranks live in
-// more than one supernode, i.e. whether hierarchical aggregation and
-// the FP16 machine-level codec have any traffic to act on.
-func (c *Comm) SpansSupernodes() bool { return c.spansSupernodes() }
-
 func (c *Comm) accountWire(level simnet.Level, wire, raw int) {
 	c.wire.Wire[level] += int64(wire)
 	c.wire.Raw[level] += int64(raw)
 	c.wire.Msgs[level]++
-}
-
-// SendBuf is the flattened send side of an all-to-allv exchange: one
-// pooled contiguous payload holding counts[d] floats destined to each
-// rank d, plus optional per-destination int metadata that rides in
-// the same messages. Build with NewSendBuf + Append, hand to an
-// Exchange (or a blocking AllToAllv*), then Release.
-type SendBuf struct {
-	data   []float32 // pooled, len = sum(counts)
-	counts []int
-	offs   []int
-	fill   []int // append cursor per destination
-	meta   [][]int
-}
-
-// NewSendBuf sizes a send buffer for counts[d] floats per destination
-// over one pooled backing slice.
-func NewSendBuf(counts []int) *SendBuf {
-	offs := make([]int, len(counts))
-	total := 0
-	for d, n := range counts {
-		if n < 0 {
-			panic(fmt.Sprintf("mpi: negative send count %d for dst %d", n, d))
-		}
-		offs[d] = total
-		total += n
-	}
-	return &SendBuf{
-		data:   tensor.GetSlice(total),
-		counts: append([]int(nil), counts...),
-		offs:   offs,
-		fill:   make([]int, len(counts)),
-		meta:   make([][]int, len(counts)),
-	}
-}
-
-// Append copies row into the next free slot of dst's region.
-func (b *SendBuf) Append(dst int, row []float32) {
-	off := b.offs[dst] + b.fill[dst]
-	if b.fill[dst]+len(row) > b.counts[dst] {
-		panic(fmt.Sprintf("mpi: SendBuf overflow for dst %d (%d+%d > %d)",
-			dst, b.fill[dst], len(row), b.counts[dst]))
-	}
-	copy(b.data[off:off+len(row)], row)
-	b.fill[dst] += len(row)
-}
-
-// AppendMeta records one metadata int for dst; metadata rides in the
-// same message as dst's payload.
-func (b *SendBuf) AppendMeta(dst int, v int) {
-	b.meta[dst] = append(b.meta[dst], v)
-}
-
-// Chunk returns the full payload region destined to dst (a view into
-// the flat buffer; valid until Release).
-func (b *SendBuf) Chunk(dst int) []float32 {
-	return b.data[b.offs[dst] : b.offs[dst]+b.counts[dst]]
-}
-
-// Meta returns the metadata recorded for dst.
-func (b *SendBuf) Meta(dst int) []int { return b.meta[dst] }
-
-// Count returns the number of floats destined to dst.
-func (b *SendBuf) Count(dst int) int { return b.counts[dst] }
-
-// Release returns the backing buffer to the pool. Safe after Flush
-// (every message stages its own copy).
-func (b *SendBuf) Release() {
-	tensor.PutSlice(b.data)
-	b.data = nil
-}
-
-// RecvBuf is the flattened receive side: one pooled contiguous
-// payload grouped by source rank in ascending order, plus the
-// per-source metadata that rode in the messages.
-type RecvBuf struct {
-	data   []float32 // pooled, len = sum over srcs of counts
-	counts []int     // indexed by comm rank; 0 for absent sources
-	offs   []int
-	meta   [][]int
-	srcs   []int // sources present, ascending
-}
-
-// Srcs lists the source ranks this buffer covers, ascending.
-func (b *RecvBuf) Srcs() []int { return b.srcs }
-
-// Count returns the number of floats received from src.
-func (b *RecvBuf) Count(src int) int { return b.counts[src] }
-
-// Chunk returns the payload received from src (a view; valid until
-// Release).
-func (b *RecvBuf) Chunk(src int) []float32 {
-	return b.data[b.offs[src] : b.offs[src]+b.counts[src]]
-}
-
-// Meta returns the metadata received from src.
-func (b *RecvBuf) Meta(src int) []int { return b.meta[src] }
-
-// Rows validates src's variable-length framing against a row width of
-// d floats and returns the row count. Dropless MoE dispatch sends
-// exactly what routed — no capacity padding — so the payload must be
-// a whole number of d-wide rows and every row must carry exactly one
-// metadata slot id; any disagreement means the counts header and the
-// payload were framed inconsistently, and we fail loudly rather than
-// misattribute rows to experts.
-func (b *RecvBuf) Rows(src, d int) int {
-	n := b.counts[src]
-	if d <= 0 || n%d != 0 {
-		panic(fmt.Sprintf("mpi: recv payload from %d is %d floats, not a multiple of row width %d", src, n, d))
-	}
-	rows := n / d
-	if m := len(b.meta[src]); m != rows {
-		panic(fmt.Sprintf("mpi: recv framing mismatch from %d: %d rows of %d floats but %d metadata slots", src, rows, d, m))
-	}
-	return rows
-}
-
-// Release returns the backing buffer to the pool.
-func (b *RecvBuf) Release() {
-	tensor.PutSlice(b.data)
-	b.data = nil
 }
 
 // seg is one absorbed source segment awaiting assembly into a
@@ -336,24 +252,27 @@ func (r *relList) release() {
 
 // Exchange is an in-flight flattened all-to-allv. The protocol is:
 //
-//	ex := c.BeginExchange(hier, codec)
-//	ex.Post(dst, chunk, meta) for each destination   // eager sends
-//	ex.Flush()                                        // nothing unsent remains
+//	ex := c.BeginExchange(algo, codec)
+//	ex.Post(dst, chunk, meta) for each destination
+//	ex.Flush()                                        // nothing unposted remains
 //	local := ex.RecvLocal()    // self + intra-supernode sources
 //	... compute on local tokens while remote bytes fly ...
 //	remote := ex.RecvRemote()  // cross-supernode sources
 //
-// or, when overlap is not wanted, RecvAll() for one merged buffer.
-// All sends are eager (the simulated network buffers them), so any
-// interleaving of compute between Flush and the Recv calls is
-// deadlock-free; every rank of the communicator must run the same
-// sequence. In hierarchical mode cross-supernode chunks are batched
-// into one up-leg message to the supernode leader at Flush; leaders
-// run the aggregate exchange inside RecvRemote.
+// or RecvAll() for one merged buffer. Direct and Hierarchical send
+// eagerly (the simulated network buffers them), so any interleaving
+// of compute between Flush and the Recv calls is deadlock-free and
+// overlaps flight time; in hierarchical mode cross-supernode chunks
+// are batched into one up-leg message to the supernode leader at
+// Flush, and leaders run the aggregate exchange inside RecvRemote.
+// Pairwise and Bruck stage every chunk at Post and run their round
+// schedule inside the first receive call; their RecvLocal/RecvRemote
+// split the sources the same way but hide nothing (see Overlaps).
+// Every rank of the communicator must run the same sequence.
 type Exchange struct {
 	c     *Comm
 	codec Codec
-	hier  bool
+	algo  Algo // resolved: never Auto
 	seq   int64
 
 	posted     []bool
@@ -371,7 +290,15 @@ type Exchange struct {
 	upData []float32
 	upMeta []int
 
-	// Hierarchical identity (nil/empty in flat mode).
+	// Pairwise and Bruck: pend[dst] is dst's chunk framed at Post,
+	// sched[src] the segment received from src once the schedule has
+	// run, and rel the staging buffers those segments view.
+	pend  []message
+	sched []seg
+	rel   relList
+
+	// Supernode identity; leaders and isLeader only in hierarchical
+	// mode.
 	isLeader  bool
 	myLeader  int
 	members   []int
@@ -380,47 +307,51 @@ type Exchange struct {
 	leaderIdx map[int]int
 }
 
-// BeginExchange opens a flattened all-to-allv on the communicator.
-// hier selects the topology-aware path (cross-supernode chunks are
-// aggregated at supernode leaders); it degrades to the flat direct
-// protocol when the comm does not span supernodes. Every rank of the
-// comm must call BeginExchange with the same arguments, in the same
-// collective order.
-func (c *Comm) BeginExchange(hier bool, codec Codec) *Exchange {
-	if hier && !c.spansSupernodes() {
-		hier = false
+// BeginExchange opens a flattened all-to-allv on the communicator
+// running algo; Auto resolves by the same topology rule as AllReduce.
+// Every rank of the comm must call BeginExchange with the same
+// arguments, in the same collective order.
+func (c *Comm) BeginExchange(algo Algo, codec Codec) *Exchange {
+	switch {
+	case algo == Auto && c.prefersHier():
+		algo = Hierarchical
+	case algo == Auto, algo == Hierarchical && !c.spansSupernodes():
+		algo = Direct
 	}
 	e := &Exchange{
 		c:      c,
 		codec:  codec,
-		hier:   hier,
+		algo:   algo,
 		seq:    c.nextSeq(),
 		posted: make([]bool, c.Size()),
 	}
-	if hier {
-		e.members, e.leaderIdx, e.myLeader = c.supernodeGroup()
+	// "Local" means same-supernode for every algorithm, so RecvLocal/
+	// RecvRemote split identically whichever schedule runs.
+	e.members, e.leaderIdx, e.myLeader = c.supernodeGroup()
+	e.inSN = make([]bool, c.Size())
+	for _, m := range e.members {
+		e.inSN[m] = true
+	}
+	switch algo {
+	case Hierarchical:
 		e.isLeader = c.rank == e.myLeader
 		e.leaders = c.leaders(nil)
-		e.inSN = make([]bool, c.Size())
-		for _, m := range e.members {
-			e.inSN[m] = true
-		}
-	} else {
-		// Flat mode: "local" still means same-supernode so RecvLocal/
-		// RecvRemote split identically for both algorithms.
-		e.members, _, _ = c.supernodeGroup()
-		e.inSN = make([]bool, c.Size())
-		for _, m := range e.members {
-			e.inSN[m] = true
-		}
+	case Pairwise, Bruck:
+		e.pend = make([]message, c.Size())
 	}
 	return e
 }
 
-// Post stages the chunk destined to dst and, unless it is buffered
-// for the hierarchical up-leg, sends it immediately. The caller keeps
-// ownership of data and meta (Post copies). Each destination may be
-// posted at most once per exchange.
+// Overlaps reports whether compute run between RecvLocal and
+// RecvRemote hides cross-supernode flight time: true for the eager
+// Direct and Hierarchical exchanges, false for the round schedules,
+// which complete inside the first receive.
+func (e *Exchange) Overlaps() bool { return e.pend == nil }
+
+// Post stages the chunk destined to dst and, for Direct (and
+// same-supernode Hierarchical) chunks, sends it immediately. The
+// caller keeps ownership of data and meta (Post copies). Each
+// destination may be posted at most once per exchange.
 func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	if e.flushed {
 		panic("mpi: Exchange.Post after Flush")
@@ -433,20 +364,21 @@ func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	}
 	e.posted[dst] = true
 
-	if dst == e.c.rank {
+	switch {
+	case dst == e.c.rank:
 		e.selfData = tensor.GetSlice(len(data))
 		copy(e.selfData, data)
 		e.selfMeta = append([]int(nil), meta...)
 		e.c.accountWire(simnet.SelfLevel, 4*len(data)+8*len(meta), 4*len(data)+8*len(meta))
-		return
-	}
-	if e.hier && !e.inSN[dst] {
+	case e.pend != nil:
+		e.pend[dst] = e.directMsg(dst, data, meta)
+	case e.algo == Hierarchical && !e.inSN[dst]:
 		e.upHdr = append(e.upHdr, dst, len(data), len(meta))
 		e.upData = append(e.upData, data...)
 		e.upMeta = append(e.upMeta, meta...)
-		return
+	default:
+		e.send(dst, e.directMsg(dst, data, meta))
 	}
-	e.sendDirect(dst, data, meta)
 }
 
 // PostAll posts every destination chunk of a SendBuf.
@@ -456,16 +388,22 @@ func (e *Exchange) PostAll(sb *SendBuf) {
 	}
 }
 
-// sendDirect frames one chunk as [n, nmeta, meta...] and posts it,
-// encoding to FP16 when the codec applies to this link level.
-func (e *Exchange) sendDirect(dst int, data []float32, meta []int) {
+// coded reports whether payload travelling from comm rank a to comm
+// rank b is FP16-encoded: the codec is on and the pair sits in
+// different supernodes.
+func (e *Exchange) coded(a, b int) bool {
 	c := e.c
+	return e.codec == FP16Wire && c.Topology().LevelOf(c.group[a], c.group[b]) == simnet.MachineLevel
+}
+
+// directMsg frames one chunk as [n, nmeta, meta...] into a staged
+// message, encoding to FP16 when the codec applies to the link.
+func (e *Exchange) directMsg(dst int, data []float32, meta []int) message {
 	ints := make([]int, 2+len(meta))
 	ints[0], ints[1] = len(data), len(meta)
 	copy(ints[2:], meta)
-	level := c.Topology().LevelOf(c.group[c.rank], c.group[dst])
-	m := message{tag: collTag(c.id, e.seq, stepDirect), ints: ints, staged: true}
-	if e.codec == FP16Wire && level == simnet.MachineLevel {
+	m := message{tag: collTag(e.c.id, e.seq, stepDirect), ints: ints, staged: true}
+	if e.coded(e.c.rank, dst) {
 		u := getU16(len(data))
 		half.EncodeSlice(u, data)
 		m.u16 = u
@@ -474,7 +412,15 @@ func (e *Exchange) sendDirect(dst int, data []float32, meta []int) {
 		copy(s, data)
 		m.data = s
 	}
-	c.accountWire(level, m.nbytes(), 4*len(data)+8*len(ints))
+	return m
+}
+
+// send accounts m in WireStats (Raw prices every element at FP32
+// width) and posts it to comm rank dst.
+func (e *Exchange) send(dst int, m message) {
+	c := e.c
+	level := c.Topology().LevelOf(c.group[c.rank], c.group[dst])
+	c.accountWire(level, m.nbytes(), m.nbytes()+2*len(m.u16))
 	c.proc.post(c.group[dst], m)
 }
 
@@ -493,8 +439,7 @@ func (e *Exchange) Flush() {
 		}
 	}
 	e.flushed = true
-	if e.hier && !e.isLeader {
-		c := e.c
+	if e.algo == Hierarchical && !e.isLeader {
 		k := len(e.upHdr) / 3
 		ints := make([]int, 1+len(e.upHdr)+len(e.upMeta))
 		ints[0] = k
@@ -502,10 +447,7 @@ func (e *Exchange) Flush() {
 		copy(ints[1+len(e.upHdr):], e.upMeta)
 		s := tensor.GetSlice(len(e.upData))
 		copy(s, e.upData)
-		m := message{tag: collTag(c.id, e.seq, stepUp), ints: ints, data: s, staged: true}
-		level := c.Topology().LevelOf(c.group[c.rank], c.group[e.myLeader])
-		c.accountWire(level, m.nbytes(), m.nbytes())
-		c.proc.post(c.group[e.myLeader], m)
+		e.send(e.myLeader, message{tag: collTag(e.c.id, e.seq, stepUp), ints: ints, data: s, staged: true})
 	}
 }
 
@@ -586,15 +528,23 @@ func (e *Exchange) remoteSrcs() []int {
 }
 
 // collectLocal blocks for the cheap leg: the self chunk plus every
-// direct message from a same-supernode source.
+// same-supernode source (running the whole round schedule first for
+// Pairwise and Bruck).
 func (e *Exchange) collectLocal(segs []seg, rel *relList) {
 	segs[e.c.rank] = seg{n: len(e.selfData), f32: e.selfData, meta: e.selfMeta}
 	if e.selfData != nil {
 		rel.f32 = append(rel.f32, e.selfData)
 		e.selfData = nil
 	}
+	if e.pend != nil {
+		e.runSchedule()
+	}
 	for _, s := range e.members {
 		if s == e.c.rank {
+			continue
+		}
+		if e.pend != nil {
+			segs[s] = e.sched[s]
 			continue
 		}
 		m := e.c.recvStep(s, collTag(e.c.id, e.seq, stepDirect))
@@ -602,26 +552,154 @@ func (e *Exchange) collectLocal(segs []seg, rel *relList) {
 	}
 }
 
-// collectRemote blocks for the cross-supernode leg. In flat mode that
+// collectRemote blocks for the cross-supernode leg. For Direct that
 // is a direct message per remote source; in hierarchical mode the
 // leader absorbs member up-legs, runs the leader-to-leader exchange
 // (where the FP16 codec applies), and scatters down-legs, while
-// non-leaders receive one down-leg from their leader.
+// non-leaders receive one down-leg from their leader. Pairwise and
+// Bruck already hold every segment; the remote leg is always
+// collected last, so it takes over their staging buffers.
 func (e *Exchange) collectRemote(segs []seg, rel *relList) {
 	c := e.c
-	if !e.hier {
+	switch {
+	case e.pend != nil:
+		for _, s := range e.remoteSrcs() {
+			segs[s] = e.sched[s]
+		}
+		rel.f32 = append(rel.f32, e.rel.f32...)
+		rel.u16 = append(rel.u16, e.rel.u16...)
+		e.rel = relList{}
+	case e.algo == Direct:
 		for _, s := range e.remoteSrcs() {
 			m := c.recvStep(s, collTag(c.id, e.seq, stepDirect))
 			segs[s] = absorbDirect(m, rel)
 		}
-		return
-	}
-	if !e.isLeader {
+	case !e.isLeader:
 		m := c.recvStep(e.myLeader, collTag(c.id, e.seq, stepDown))
 		parseScatter(m, c.rank, segs, rel)
+	default:
+		e.leaderExchange(segs, rel)
+	}
+}
+
+// runSchedule runs the Pairwise or Bruck rounds once, leaving the
+// segment from every other rank in e.sched.
+func (e *Exchange) runSchedule() {
+	if e.sched != nil {
 		return
 	}
-	e.leaderExchange(segs, rel)
+	e.sched = make([]seg, e.c.Size())
+	if e.algo == Pairwise {
+		e.runPairwise()
+	} else {
+		e.runBruck()
+	}
+}
+
+// runPairwise exchanges in P-1 rounds; in round s this rank sends its
+// framed chunk to (r+s) mod P and receives from (r-s) mod P.
+func (e *Exchange) runPairwise() {
+	c := e.c
+	p := c.Size()
+	tag := collTag(c.id, e.seq, stepDirect)
+	for s := 1; s < p; s++ {
+		dst, src := (c.rank+s)%p, (c.rank-s+p)%p
+		e.send(dst, e.pend[dst])
+		e.sched[src] = absorbDirect(c.recvStep(src, tag), &e.rel)
+	}
+}
+
+// runBruck relays the staged chunks in ⌈log₂P⌉ rounds. blocks[i]
+// starts as the chunk bound for rank me+i; the round for bit k ships
+// every block whose index has bit k set to rank me+k, framed as
+// [nblk, (i, n, nmeta)×nblk, meta...] with FP32 blocks concatenated
+// in data and FP16 blocks in u16. A block's encoding is fixed at its
+// origin (FP16 iff origin and final destination sit in different
+// supernodes), so relays forward the bits untouched and values round
+// through half precision at most once. After the last round blocks[i]
+// holds what rank me-i sent here.
+func (e *Exchange) runBruck() {
+	c := e.c
+	p, me := c.Size(), c.rank
+	blocks := make([]seg, p)
+	for i := 1; i < p; i++ {
+		blocks[i] = absorbDirect(e.pend[(me+i)%p], &e.rel)
+	}
+	// coded reports block i's encoding here, once the index bits in
+	// moved have carried it from its origin to this rank.
+	coded := func(i, moved int) bool {
+		o := (me - (i & moved) + p) % p
+		return e.coded(o, (o+i)%p)
+	}
+	for k, step := 1, 0; k < p; k, step = k<<1, step+1 {
+		var idx, meta []int
+		nf, nh := 0, 0
+		for i := k; i < p; i++ {
+			if i&k == 0 {
+				continue
+			}
+			idx = append(idx, i)
+			meta = append(meta, blocks[i].meta...)
+			if coded(i, k-1) {
+				nh += blocks[i].n
+			} else {
+				nf += blocks[i].n
+			}
+		}
+		ints := make([]int, 1, 1+3*len(idx)+len(meta))
+		ints[0] = len(idx)
+		for _, i := range idx {
+			ints = append(ints, i, blocks[i].n, len(blocks[i].meta))
+		}
+		m := message{tag: collTag(c.id, e.seq, step), ints: append(ints, meta...),
+			data: tensor.GetSlice(nf), u16: getU16(nh), staged: true}
+		of, oh := 0, 0
+		for _, i := range idx {
+			if coded(i, k-1) {
+				oh += copy(m.u16[oh:], blocks[i].u16)
+			} else {
+				of += copy(m.data[of:], blocks[i].f32)
+			}
+		}
+		e.send((me+k)%p, m)
+
+		r := c.recvStep((me-k+p)%p, m.tag)
+		if len(r.ints) < 1 || r.ints[0] < 0 || len(r.ints) < 1+3*r.ints[0] {
+			panic("mpi: wire framing corrupt: bruck relay header")
+		}
+		nblk := r.ints[0]
+		hdr, rmeta := r.ints[1:1+3*nblk], r.ints[1+3*nblk:]
+		of, oh, om := 0, 0, 0
+		for j := 0; j < nblk; j++ {
+			i, n, nm := hdr[3*j], hdr[3*j+1], hdr[3*j+2]
+			if i <= 0 || i >= p || n < 0 || nm < 0 || om+nm > len(rmeta) {
+				panic("mpi: wire framing corrupt: bruck block out of bounds")
+			}
+			b := seg{n: n, meta: rmeta[om : om+nm]}
+			om += nm
+			if coded(i, 2*k-1) {
+				if oh+n > len(r.u16) {
+					panic("mpi: wire framing corrupt: bruck fp16 payload short")
+				}
+				b.u16 = r.u16[oh : oh+n]
+				oh += n
+			} else {
+				if of+n > len(r.data) {
+					panic("mpi: wire framing corrupt: bruck payload short")
+				}
+				b.f32 = r.data[of : of+n]
+				of += n
+			}
+			blocks[i] = b
+		}
+		if r.staged {
+			e.rel.f32 = append(e.rel.f32, r.data)
+			e.rel.u16 = append(e.rel.u16, r.u16)
+		}
+	}
+	for i := 1; i < p; i++ {
+		e.sched[(me-i+p)%p] = blocks[i]
+	}
 }
 
 // parseScatter decodes a down-leg framed [k, (src, n, nmeta)×k,
@@ -707,7 +785,9 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 		}
 	}
 
-	// Pairwise aggregate exchange between leaders.
+	// Pairwise aggregate exchange between leaders. Chunks between
+	// members of this supernode never reach the X-leg, so recvAgg[me]
+	// stays empty.
 	me := e.leaderIdx[c.rank]
 	recvAgg := make([]leaderAgg, nl)
 	tagX := collTag(c.id, e.seq, stepX)
@@ -718,7 +798,6 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 		m := c.recvStep(e.leaders[src], tagX)
 		recvAgg[src] = e.parseX(m, rel)
 	}
-	recvAgg[me] = aggs[me] // chunks between members of this supernode never reach the X-leg; kept for symmetry
 
 	// Scatter: regroup received aggregates per destination member.
 	p := c.Size()
@@ -748,10 +827,7 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 		copy(ints[1+len(downHdr[mb]):], downMeta[mb])
 		s := tensor.GetSlice(len(downData[mb]))
 		copy(s, downData[mb])
-		m := message{tag: collTag(c.id, e.seq, stepDown), ints: ints, data: s, staged: true}
-		level := c.Topology().LevelOf(c.group[c.rank], c.group[mb])
-		c.accountWire(level, m.nbytes(), m.nbytes())
-		c.proc.post(c.group[mb], m)
+		e.send(mb, message{tag: collTag(c.id, e.seq, stepDown), ints: ints, data: s, staged: true})
 	}
 	// Own share stays local.
 	hdr := downHdr[c.rank]
@@ -770,15 +846,13 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 // ×k, meta...], FP16-coded when the codec is enabled (leader pairs
 // always sit in different supernodes).
 func (e *Exchange) sendX(dstLeader int, a *leaderAgg, tag int) {
-	c := e.c
 	k := len(a.hdr) / 4
 	ints := make([]int, 1+len(a.hdr)+len(a.meta))
 	ints[0] = k
 	copy(ints[1:], a.hdr)
 	copy(ints[1+len(a.hdr):], a.meta)
-	level := c.Topology().LevelOf(c.group[c.rank], c.group[dstLeader])
 	m := message{tag: tag, ints: ints, staged: true}
-	if e.codec == FP16Wire && level == simnet.MachineLevel {
+	if e.coded(e.c.rank, dstLeader) {
 		u := getU16(len(a.data))
 		half.EncodeSlice(u, a.data)
 		m.u16 = u
@@ -787,8 +861,7 @@ func (e *Exchange) sendX(dstLeader int, a *leaderAgg, tag int) {
 		copy(s, a.data)
 		m.data = s
 	}
-	c.accountWire(level, m.nbytes(), 4*len(a.data)+8*len(ints))
-	c.proc.post(c.group[dstLeader], m)
+	e.send(dstLeader, m)
 }
 
 // parseX decodes a received leader aggregate back to FP32.
@@ -881,59 +954,40 @@ func (e *Exchange) RecvAll() *RecvBuf {
 }
 
 // AllToAllv runs a blocking flattened exchange with the algorithm
-// best matching the topology (hierarchical when the comm spans
-// supernodes), mirroring AllToAll's selection.
+// best matching the topology (Auto).
 func (c *Comm) AllToAllv(sb *SendBuf, codec Codec) *RecvBuf {
-	return c.allToAllv(sb, codec, c.spansSupernodes() && c.Size() >= 4)
+	return c.AllToAllvAlgo(Auto, sb, codec)
 }
 
-// AllToAllvDirect runs the blocking flat exchange.
-func (c *Comm) AllToAllvDirect(sb *SendBuf, codec Codec) *RecvBuf {
-	return c.allToAllv(sb, codec, false)
-}
-
-// AllToAllvHier runs the blocking hierarchical exchange.
-func (c *Comm) AllToAllvHier(sb *SendBuf, codec Codec) *RecvBuf {
-	return c.allToAllv(sb, codec, true)
-}
-
-func (c *Comm) allToAllv(sb *SendBuf, codec Codec, hier bool) *RecvBuf {
-	e := c.BeginExchange(hier, codec)
+// AllToAllvAlgo runs a blocking flattened exchange of sb with algo.
+func (c *Comm) AllToAllvAlgo(algo Algo, sb *SendBuf, codec Codec) *RecvBuf {
+	e := c.BeginExchange(algo, codec)
 	e.PostAll(sb)
 	e.Flush()
 	return e.RecvAll()
 }
 
-// AllToAllvBruck routes a flattened exchange through the log-P Bruck
-// algorithm, kept as the latency-optimal baseline. FP32 only —
-// multi-hop relaying precludes per-level coding — and metadata goes
-// in a companion int all-to-all, as before the wire layer existed.
-func (c *Comm) AllToAllvBruck(sb *SendBuf) *RecvBuf {
-	p := c.Size()
-	chunks := make([][]float32, p)
-	metaIn := make([][]int, p)
-	for d := 0; d < p; d++ {
-		chunks[d] = sb.Chunk(d)
-		metaIn[d] = sb.Meta(d)
+// leaderMaps returns the comm's cached supernode -> leader-rank map
+// and the leader list in first-appearance order, building both with
+// one O(P) pass on first use.
+func (c *Comm) leaderMaps() (map[int]int, []int) {
+	if c.snLeader == nil {
+		t := c.Topology()
+		c.snLeader = make(map[int]int)
+		for q := 0; q < c.Size(); q++ {
+			sn := t.Supernode(c.group[q])
+			if _, ok := c.snLeader[sn]; !ok {
+				c.snLeader[sn] = q
+				c.leaderList = append(c.leaderList, q)
+			}
+		}
 	}
-	out := c.AllToAllBruck(chunks)
-	metaOut := c.AllToAllInts(metaIn)
-	b := &RecvBuf{
-		counts: make([]int, p),
-		offs:   make([]int, p),
-		meta:   metaOut,
-		srcs:   make([]int, p),
-	}
-	total := 0
-	for s := 0; s < p; s++ {
-		b.srcs[s] = s
-		b.offs[s] = total
-		b.counts[s] = len(out[s])
-		total += len(out[s])
-	}
-	b.data = tensor.GetSlice(total)
-	for s := 0; s < p; s++ {
-		copy(b.data[b.offs[s]:b.offs[s]+b.counts[s]], out[s])
-	}
-	return b
+	return c.snLeader, c.leaderList
+}
+
+// leaderOf returns the leader comm rank of the supernode containing
+// comm rank r.
+func (c *Comm) leaderOf(r int) int {
+	snLeader, _ := c.leaderMaps()
+	return snLeader[c.Topology().Supernode(c.group[r])]
 }

@@ -68,22 +68,22 @@ func checkRecvBuf(t *testing.T, rank int, rb *RecvBuf, counts func(s, d int) int
 	}
 }
 
+// hierAlgo maps the hier=false/true subtest axis to its algorithm.
+func hierAlgo(hier bool) Algo {
+	if hier {
+		return Hierarchical
+	}
+	return Direct
+}
+
 func TestAllToAllvAlgorithmsAgree(t *testing.T) {
 	counts := func(s, d int) int { return (s*7+d*3)%5 + 1 }
-	for _, algo := range []string{"direct", "hier", "bruck"} {
-		t.Run(algo, func(t *testing.T) {
+	for name, algo := range map[string]Algo{"direct": Direct, "pairwise": Pairwise, "hier": Hierarchical, "bruck": Bruck} {
+		t.Run(name, func(t *testing.T) {
 			w := NewWorld(8, wireTestTopo())
 			w.Run(func(c *Comm) {
 				sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
-				var rb *RecvBuf
-				switch algo {
-				case "direct":
-					rb = c.AllToAllvDirect(sb, FP32Wire)
-				case "hier":
-					rb = c.AllToAllvHier(sb, FP32Wire)
-				case "bruck":
-					rb = c.AllToAllvBruck(sb)
-				}
+				rb := c.AllToAllvAlgo(algo, sb, FP32Wire)
 				sb.Release()
 				all := make([]int, c.Size())
 				for i := range all {
@@ -106,7 +106,7 @@ func TestExchangeOverlapPhases(t *testing.T) {
 			w := NewWorld(8, wireTestTopo())
 			w.Run(func(c *Comm) {
 				sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
-				ex := c.BeginExchange(hier, FP32Wire)
+				ex := c.BeginExchange(hierAlgo(hier), FP32Wire)
 				ex.PostAll(sb)
 				ex.Flush()
 				sb.Release()
@@ -141,28 +141,6 @@ func TestFP16WireHalvesInterSupernodeBytes(t *testing.T) {
 	// floats per token row); tiny chunks would let the uncompressed
 	// framing header mask the codec's saving.
 	counts := func(s, d int) int { return 256 }
-	run := func(codec Codec, hier bool) WireStats {
-		var stats WireStats
-		w := NewWorld(8, wireTestTopo())
-		w.Run(func(c *Comm) {
-			sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
-			before := c.WireStats()
-			var rb *RecvBuf
-			if hier {
-				rb = c.AllToAllvHier(sb, codec)
-			} else {
-				rb = c.AllToAllvDirect(sb, codec)
-			}
-			sb.Release()
-			rb.Release()
-			if c.Rank() == 0 {
-				stats = c.WireStats().Sub(before)
-			}
-		})
-		// Sum over all ranks instead: WireStats is per-comm/per-rank, so
-		// rank 0 alone under-reports hier (leaders carry the X-leg).
-		return stats
-	}
 	for _, hier := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hier=%v", hier), func(t *testing.T) {
 			// Use the world-level counters, which see every rank.
@@ -170,12 +148,7 @@ func TestFP16WireHalvesInterSupernodeBytes(t *testing.T) {
 				w := NewWorld(8, wireTestTopo())
 				w.Run(func(c *Comm) {
 					sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
-					var rb *RecvBuf
-					if hier {
-						rb = c.AllToAllvHier(sb, codec)
-					} else {
-						rb = c.AllToAllvDirect(sb, codec)
-					}
+					rb := c.AllToAllvAlgo(hierAlgo(hier), sb, codec)
 					sb.Release()
 					rb.Release()
 				})
@@ -193,7 +166,6 @@ func TestFP16WireHalvesInterSupernodeBytes(t *testing.T) {
 			}
 		})
 	}
-	_ = run // WireStats variant exercised in TestWireStatsTracksCodecGap
 }
 
 // TestWireStatsTracksCodecGap checks the per-comm Raw/Wire split: at
@@ -204,7 +176,7 @@ func TestWireStatsTracksCodecGap(t *testing.T) {
 	total := make([]WireStats, 8)
 	w.Run(func(c *Comm) {
 		sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return 32 })
-		rb := c.AllToAllvHier(sb, FP16Wire)
+		rb := c.AllToAllvAlgo(Hierarchical, sb, FP16Wire)
 		sb.Release()
 		rb.Release()
 		total[c.Rank()] = c.WireStats()
@@ -227,6 +199,31 @@ func TestWireStatsTracksCodecGap(t *testing.T) {
 	}
 }
 
+// TestWireStatsMatchWorldStats: for every algorithm × codec, the
+// per-comm WireStats summed over ranks must equal the world's bytes
+// and messages at every link level — no schedule may send traffic the
+// wire counters miss.
+func TestWireStatsMatchWorldStats(t *testing.T) {
+	counts := func(s, d int) int { return (s*5+d)%7 + 1 }
+	for _, algo := range []Algo{Direct, Pairwise, Hierarchical, Bruck} {
+		for _, codec := range []Codec{FP32Wire, FP16Wire} {
+			name := fmt.Sprintf("%v/%v", algo, codec)
+			w := NewWorld(8, wireTestTopo())
+			stats := make([]WireStats, 8)
+			w.Run(func(c *Comm) {
+				sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
+				c.AllToAllvAlgo(algo, sb, codec).Release()
+				sb.Release()
+				stats[c.Rank()] = c.WireStats()
+			})
+			if w.Stats().MsgsAt(simnet.MachineLevel) == 0 {
+				t.Fatalf("%s: no inter-supernode traffic", name)
+			}
+			checkWireMatchesWorld(t, name, stats, w)
+		}
+	}
+}
+
 // TestFP16WireValuesRoundTrip checks the received values equal the
 // canonical FP16 round-trip of what was sent (quantized exactly once).
 func TestFP16WireValuesRoundTrip(t *testing.T) {
@@ -246,7 +243,7 @@ func TestFP16WireValuesRoundTrip(t *testing.T) {
 		for d := 0; d < p; d++ {
 			sb.Append(d, vals)
 		}
-		rb := c.AllToAllvHier(sb, FP16Wire)
+		rb := c.AllToAllvAlgo(Hierarchical, sb, FP16Wire)
 		sb.Release()
 		topo := c.Topology()
 		for s := 0; s < p; s++ {
@@ -287,7 +284,7 @@ func TestRecvBufRows(t *testing.T) {
 				sb.AppendMeta(dst, i)
 			}
 		}
-		rb := c.AllToAllvDirect(sb, FP32Wire)
+		rb := c.AllToAllvAlgo(Direct, sb, FP32Wire)
 		sb.Release()
 		for _, src := range rb.Srcs() {
 			if got, want := rb.Rows(src, d), src+1; got != want {

@@ -91,3 +91,15 @@ go build -o /tmp/bagualu-pipe ./cmd/bagualu-pipe
 /tmp/bagualu-pipe -csv > /tmp/bagualu-pipe-b.csv
 cmp /tmp/bagualu-pipe-a.csv /tmp/bagualu-pipe-b.csv
 rm -f /tmp/bagualu-pipe /tmp/bagualu-pipe-a.csv /tmp/bagualu-pipe-b.csv
+# All-to-all gates (R4): the one flattened all-to-all stack (direct,
+# pairwise, hierarchical, Bruck) must hold its properties under a
+# bounded native fuzz run (every algorithm x codec x receive mode
+# matches Direct/FP32 and WireStats account every message), and two
+# bagualu-comm invocations must emit byte-identical R4/R4b/R4c/R8
+# tables.
+go test -run '^$' -fuzz '^FuzzAllToAllv$' -fuzztime 10s ./internal/mpi/
+go build -o /tmp/bagualu-comm ./cmd/bagualu-comm
+/tmp/bagualu-comm -csv > /tmp/bagualu-comm-a.csv
+/tmp/bagualu-comm -csv > /tmp/bagualu-comm-b.csv
+cmp /tmp/bagualu-comm-a.csv /tmp/bagualu-comm-b.csv
+rm -f /tmp/bagualu-comm /tmp/bagualu-comm-a.csv /tmp/bagualu-comm-b.csv
