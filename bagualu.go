@@ -115,8 +115,6 @@ type (
 	ModelSpec = perfmodel.ModelSpec
 	// Deployment maps a spec onto a machine.
 	Deployment = perfmodel.Deployment
-	// Report is a projected training step.
-	Report = perfmodel.Report
 )
 
 // Precision modes.

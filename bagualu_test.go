@@ -103,11 +103,11 @@ func TestFacadeProjection(t *testing.T) {
 		BatchPerRank: 4, Precision: bagualu.Mixed, Efficiency: 0.35,
 		A2A: bagualu.ProjA2AHierarchical, ZeRO: true, OverlapSync: true,
 	}
-	rep, err := d.Project(specs[2])
+	rep, err := d.PredictStep(specs[2], bagualu.FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Fits {
+	if !rep.Mem.Fits {
 		t.Fatal("headline config must fit")
 	}
 	// Reproduction target: the paper's ~1.18 EFLOPS headline within

@@ -478,16 +478,16 @@ func BenchmarkR7Projection(b *testing.B) {
 		Precision: sunway.Mixed, Efficiency: 0.35,
 		A2A: perfmodel.A2AHierarchical, ZeRO: true, OverlapSync: true,
 	}
-	var rep perfmodel.Report
+	var rep perfmodel.StepPrediction
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = d.Project(spec)
+		rep, err = d.PredictStep(spec, perfmodel.FaultModel{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(rep.SustainedFlops/1e18, "EFLOPS")
-	b.ReportMetric(rep.MemPerNodeGiB, "GiB/node")
+	b.ReportMetric(rep.Mem.TotalGiB, "GiB/node")
 	b.ReportMetric(rep.StepTime, "step-sec")
 }
 
@@ -676,9 +676,11 @@ func BenchmarkAblationRouting(b *testing.B) {
 
 // --- GEMM kernels: naive vs. tiled, square and remainder shapes ---
 //
-// The odd shapes (65×130×67) exercise the tiled kernel's row/column/
-// panel remainder paths, which square power-of-two shapes never hit.
-// Results are recorded in BENCH_1.json.
+// Every shape clears gemmTiledMin, so the "dispatch" rows measure the
+// tiled driver against the unblocked "naive" kernel. The odd shapes
+// (65×130×67) exercise the tiled kernel's row/column/panel remainder
+// paths, which square power-of-two shapes never hit. Results are
+// recorded in BENCH_1.json.
 
 func gemmShapes() []struct {
 	name    string
@@ -704,7 +706,6 @@ func BenchmarkMatMul(b *testing.B) {
 			f    func(x, y *tensor.Tensor) *tensor.Tensor
 		}{
 			{"naive", tensor.MatMulNaive},
-			{"tiled", tensor.MatMulTiled},
 			{"dispatch", tensor.MatMul},
 		}
 		for _, kn := range kernels {

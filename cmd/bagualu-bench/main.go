@@ -216,7 +216,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		rep, err := dd.Project(best)
+		rep, err := dd.PredictStep(best, perfmodel.FaultModel{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -67,17 +67,17 @@ func main() {
 				ZeRO:           true,
 				OverlapSync:    true,
 			}
-			rep, err := d.Project(spec)
+			rep, err := d.PredictStep(spec, perfmodel.FaultModel{})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s/%s: %v\n", spec.Name, prec, err)
 				continue
 			}
 			proj.AddRow(spec.Name, prec.String(),
-				rep.StepTime, rep.ComputeTime, rep.A2ATime, rep.SyncTime,
+				rep.StepTime, rep.DenseCompute+rep.ExpertCompute, rep.A2A, rep.Sync,
 				fmt.Sprintf("%.3g", rep.TokensPerSec),
 				fmt.Sprintf("%.3g FLOPS (%.2f EFLOPS)", rep.SustainedFlops, rep.SustainedFlops/1e18),
 				fmt.Sprintf("%.1f%%", 100*rep.PeakFraction),
-				fmt.Sprintf("%.1f", rep.MemPerNodeGiB), rep.Fits)
+				fmt.Sprintf("%.1f", rep.Mem.TotalGiB), rep.Mem.Fits)
 		}
 	}
 	emit(proj)
@@ -93,12 +93,12 @@ func main() {
 			Precision: sunway.Mixed, Efficiency: *eff, A2A: a, ZeRO: true,
 			OverlapSync: true,
 		}
-		rep, err := d.Project(spec)
+		rep, err := d.PredictStep(spec, perfmodel.FaultModel{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			continue
 		}
-		abl.AddRow(a.String(), rep.StepTime, rep.A2ATime, rep.SustainedFlops/1e18)
+		abl.AddRow(a.String(), rep.StepTime, rep.A2A, rep.SustainedFlops/1e18)
 	}
 	emit(abl)
 
@@ -118,7 +118,7 @@ func main() {
 			BatchPerRank: *batch, Precision: sunway.Mixed, Efficiency: *eff,
 			A2A: perfmodel.A2AHierarchical, ZeRO: true, OverlapSync: true,
 		}
-		rep, err := d.Project(spec2)
+		rep, err := d.PredictStep(spec2, perfmodel.FaultModel{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			continue

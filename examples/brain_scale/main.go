@@ -39,27 +39,27 @@ func main() {
 			OverlapSync:    true,
 		}
 		dep.A2A = bagualu.ProjA2AHierarchical
-		rep, err := dep.Project(spec)
+		rep, err := dep.PredictStep(spec, bagualu.FaultModel{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  mixed precision, ZeRO, hierarchical a2a:\n")
 		fmt.Printf("    memory/node %.1f GiB (budget %.0f) fits=%v\n",
-			rep.MemPerNodeGiB, machine.NodeMemGiB, rep.Fits)
+			rep.Mem.TotalGiB, machine.NodeMemGiB, rep.Mem.Fits)
 		fmt.Printf("    step %.2fs = compute %.2fs + a2a %.2fs (+ sync %.2fs overlapped)\n",
-			rep.StepTime, rep.ComputeTime, rep.A2ATime, rep.SyncTime)
+			rep.StepTime, rep.DenseCompute+rep.ExpertCompute, rep.A2A, rep.Sync)
 		fmt.Printf("    sustained %.2f EFLOPS (%.0f%% of mixed peak)\n\n",
 			rep.SustainedFlops/1e18, 100*rep.PeakFraction)
 
 		// Show why mixed precision is load-bearing at 174T.
 		if spec.TotalParams() > 100e12 {
 			dep.Precision = bagualu.FP32
-			r32, err := dep.Project(spec)
+			r32, err := dep.PredictStep(spec, bagualu.FaultModel{})
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("  the same model in pure FP32: %.1f GiB/node -> fits=%v\n",
-				r32.MemPerNodeGiB, r32.Fits)
+				r32.Mem.TotalGiB, r32.Mem.Fits)
 			fmt.Println("  => mixed precision is not an optimization here; it is what")
 			fmt.Println("     makes the 174T configuration representable at all.")
 		}

@@ -13,7 +13,7 @@ import (
 // the per-expert Forward loop of the MoE layers — the tiled-vs-naive
 // kernel decision is made on the group's total FLOPs, so cold experts
 // with a handful of tokens ride the tiled kernel alongside the hot
-// ones (see tensor.GroupedUsesTiled).
+// ones (see tensor.GroupedMatMulInto).
 //
 // The group caches the members' weight and gradient tensor slices so
 // steady-state Forward/Backward calls allocate only the step-scoped

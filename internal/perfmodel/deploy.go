@@ -140,29 +140,6 @@ func (d Deployment) Micro() int {
 	return d.PP()
 }
 
-// Report is the projected behaviour of one training step.
-type Report struct {
-	Spec  ModelSpec
-	Ranks int
-	Eff   float64
-
-	ComputeTime   float64 // seconds
-	A2ATime       float64
-	SyncTime      float64
-	RecomputeTime float64 // forward replay of recomputed blocks
-	OffloadTime   float64 // optimizer-state traffic to/from the host tier
-	StepTime      float64
-
-	TokensPerStep  float64
-	TokensPerSec   float64
-	SustainedFlops float64
-	PeakFraction   float64
-
-	MemPerNodeGiB float64
-	Fits          bool
-	Mem           MemBreakdown // full per-node memory accounting
-}
-
 // bytesPerElem is the wire size of an activation element in the given
 // precision (half-precision activations in FP16/Mixed).
 func bytesPerElem(p sunway.Precision) float64 {
@@ -174,34 +151,6 @@ func bytesPerElem(p sunway.Precision) float64 {
 	default:
 		return 4
 	}
-}
-
-// Project computes the analytic report for one synchronous training
-// step of spec under this deployment. It is a view over PredictStep —
-// the unified cost model — kept for the R7-era callers that tabulate
-// component times.
-func (d Deployment) Project(spec ModelSpec) (Report, error) {
-	p, err := d.PredictStep(spec, FaultModel{})
-	if err != nil {
-		return Report{}, err
-	}
-	r := Report{
-		Spec: spec, Ranks: d.Ranks(), Eff: d.Efficiency,
-		ComputeTime:    p.DenseCompute + p.ExpertCompute,
-		A2ATime:        p.A2A,
-		SyncTime:       p.Sync,
-		RecomputeTime:  p.Recompute,
-		OffloadTime:    p.Offload,
-		StepTime:       p.StepTime,
-		TokensPerStep:  p.TokensPerStep,
-		TokensPerSec:   p.TokensPerSec,
-		SustainedFlops: p.SustainedFlops,
-		PeakFraction:   p.PeakFraction,
-		MemPerNodeGiB:  p.Mem.TotalGiB,
-		Fits:           p.Mem.Fits,
-		Mem:            p.Mem,
-	}
-	return r, nil
 }
 
 // a2aCost prices one all-to-all over an expert-parallel group of p

@@ -95,15 +95,19 @@ func fullDeployment(a2a A2AStrategy) Deployment {
 	}
 }
 
+// computeTime is a prediction's full (pre-overlap) compute: dense plus
+// expert.
+func computeTime(p StepPrediction) float64 { return p.DenseCompute + p.ExpertCompute }
+
 func TestProjectFullMachine174T(t *testing.T) {
 	spec := BrainScaleSpecs()[2] // 96,000 experts: one per rank
 	d := fullDeployment(A2AHierarchical)
-	rep, err := d.Project(spec)
+	rep, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Fits {
-		t.Fatalf("174T config does not fit: %.1f GiB/node", rep.MemPerNodeGiB)
+	if !rep.Mem.Fits {
+		t.Fatalf("174T config does not fit: %.1f GiB/node", rep.Mem.TotalGiB)
 	}
 	// The paper's headline is ~1.18 EFLOPS mixed precision; the
 	// reproduction should land in the same order of magnitude.
@@ -123,16 +127,16 @@ func TestHierarchicalA2ABeatsFlatAtScale(t *testing.T) {
 	dFlat := fullDeployment(A2AFlat)
 	dHier := fullDeployment(A2AHierarchical)
 	spec.NumExperts = dFlat.ExpertParallel
-	rf, err := dFlat.Project(spec)
+	rf, err := dFlat.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := dHier.Project(spec)
+	rh, err := dHier.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rh.A2ATime >= rf.A2ATime {
-		t.Fatalf("hierarchical a2a %.3g !< flat %.3g at full scale", rh.A2ATime, rf.A2ATime)
+	if rh.A2A >= rf.A2A {
+		t.Fatalf("hierarchical a2a %.3g !< flat %.3g at full scale", rh.A2A, rf.A2A)
 	}
 }
 
@@ -145,30 +149,30 @@ func TestMemoryGateRejectsOversizedModel(t *testing.T) {
 		BatchPerRank: 1, Precision: sunway.Mixed, Efficiency: 0.35,
 	}
 	spec.NumExperts = 4 * 1000 // divisible by EP, still huge
-	rep, err := d.Project(spec)
+	rep, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Fits {
-		t.Fatalf("trillion-parameter model reported as fitting on 4 nodes (%.1f GiB)", rep.MemPerNodeGiB)
+	if rep.Mem.Fits {
+		t.Fatalf("trillion-parameter model reported as fitting on 4 nodes (%.1f GiB)", rep.Mem.TotalGiB)
 	}
 }
 
 func TestValidationErrors(t *testing.T) {
 	d := fullDeployment(A2AFlat)
 	d.Efficiency = 0
-	if _, err := d.Project(tinySpec()); err == nil {
+	if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
 		t.Fatal("zero efficiency accepted")
 	}
 	d = fullDeployment(A2AFlat)
 	d.DataParallel = 7 // grid mismatch
-	if _, err := d.Project(tinySpec()); err == nil {
+	if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
 		t.Fatal("grid mismatch accepted")
 	}
 	d = fullDeployment(A2AFlat)
 	spec := tinySpec()
 	spec.NumExperts = 7 // not divisible by EP
-	if _, err := d.Project(spec); err == nil {
+	if _, err := d.PredictStep(spec, FaultModel{}); err == nil {
 		t.Fatal("indivisible experts accepted")
 	}
 }
@@ -180,17 +184,17 @@ func TestComputeScalesWithBatch(t *testing.T) {
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.5,
 	}
 	spec := tinySpec()
-	r1, err := base.Project(spec)
+	r1, err := base.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.BatchPerRank = 4
-	r2, err := base.Project(spec)
+	r2, err := base.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r2.ComputeTime/r1.ComputeTime-2) > 1e-9 {
-		t.Fatalf("compute time did not double: %v vs %v", r1.ComputeTime, r2.ComputeTime)
+	if math.Abs(computeTime(r2)/computeTime(r1)-2) > 1e-9 {
+		t.Fatalf("compute time did not double: %v vs %v", computeTime(r1), computeTime(r2))
 	}
 }
 
@@ -201,12 +205,12 @@ func TestMixedPrecisionFasterThanFP32(t *testing.T) {
 		Machine: m, RanksPerNode: 1, DataParallel: 16, ExpertParallel: 4,
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 	}
-	r32, err := d.Project(spec)
+	r32, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Precision = sunway.Mixed
-	rmx, err := d.Project(spec)
+	rmx, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +223,14 @@ func TestWeakScalingImprovesThroughput(t *testing.T) {
 	// Doubling the machine (at fixed per-rank batch) must increase
 	// aggregate tokens/s.
 	spec := tinySpec()
-	mk := func(nodes int) Report {
+	mk := func(nodes int) StepPrediction {
 		m := sunway.TestMachine(nodes/16, 16)
 		d := Deployment{
 			Machine: m, RanksPerNode: 1, DataParallel: nodes / 4, ExpertParallel: 4,
 			BatchPerRank: 2, Precision: sunway.Mixed, Efficiency: 0.4,
 			A2A: A2AHierarchical,
 		}
-		r, err := d.Project(spec)
+		r, err := d.PredictStep(spec, FaultModel{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,13 +252,19 @@ func TestSweepExpertsMoEScalingClaim(t *testing.T) {
 		BatchPerRank: 2, Precision: sunway.Mixed, Efficiency: 0.4,
 		A2A: A2AHierarchical, ZeRO: true,
 	}
-	spec := tinySpec()
-	reports, err := SweepExperts(d, spec, []int{16, 64, 256})
-	if err != nil {
-		t.Fatal(err)
+	var params, compute []float64
+	for _, e := range []int{16, 64, 256} {
+		spec := tinySpec()
+		spec.NumExperts = e
+		p, err := d.PredictStep(spec, FaultModel{})
+		if err != nil {
+			t.Fatalf("experts=%d: %v", e, err)
+		}
+		params = append(params, float64(spec.TotalParams()))
+		compute = append(compute, computeTime(p))
 	}
-	paramGrowth := float64(reports[2].Spec.TotalParams()) / float64(reports[0].Spec.TotalParams())
-	computeGrowth := reports[2].ComputeTime / reports[0].ComputeTime
+	paramGrowth := params[2] / params[0]
+	computeGrowth := compute[2] / compute[0]
 	if paramGrowth < 8 {
 		t.Fatalf("param growth %v too small for 16x experts", paramGrowth)
 	}
@@ -262,15 +272,6 @@ func TestSweepExpertsMoEScalingClaim(t *testing.T) {
 	// the parameter growth.
 	if computeGrowth > paramGrowth/2 {
 		t.Fatalf("compute grew %vx vs params %vx — MoE claim violated", computeGrowth, paramGrowth)
-	}
-}
-
-func TestSweepExpertsRejectsDenseSpec(t *testing.T) {
-	d := fullDeployment(A2AHierarchical)
-	spec := tinySpec()
-	spec.MoEEvery = 0
-	if _, err := SweepExperts(d, spec, []int{96000}); err == nil {
-		t.Fatal("dense spec accepted")
 	}
 }
 
@@ -283,9 +284,15 @@ func TestSweepBatchAmortizesLatency(t *testing.T) {
 	}
 	spec := tinySpec()
 	spec.NumExperts = 16
-	reports, err := SweepBatch(d, spec, []int{1, 4, 16, 64})
-	if err != nil {
-		t.Fatal(err)
+	var reports []StepPrediction
+	for _, b := range []int{1, 4, 16, 64} {
+		dd := d
+		dd.BatchPerRank = b
+		p, err := dd.PredictStep(spec, FaultModel{})
+		if err != nil {
+			t.Fatalf("batch=%d: %v", b, err)
+		}
+		reports = append(reports, p)
 	}
 	// Tokens/s must improve with batch (latency amortized), and
 	// compute fraction must rise monotonically.
@@ -293,8 +300,8 @@ func TestSweepBatchAmortizesLatency(t *testing.T) {
 		if reports[i].TokensPerSec <= reports[i-1].TokensPerSec {
 			t.Fatalf("batch %d did not improve throughput", i)
 		}
-		fPrev := reports[i-1].ComputeTime / reports[i-1].StepTime
-		fCur := reports[i].ComputeTime / reports[i].StepTime
+		fPrev := computeTime(reports[i-1]) / reports[i-1].StepTime
+		fCur := computeTime(reports[i]) / reports[i].StepTime
 		if fCur < fPrev-1e-9 {
 			t.Fatalf("compute fraction regressed: %v -> %v", fPrev, fCur)
 		}

@@ -2,10 +2,10 @@ package perfmodel
 
 // PredictStep is the unified analytic cost model of one synchronous
 // training step. It is the single place the component formulas live:
-// Project (the R7 full-machine reports) and the deployment autotuner
-// (internal/autotune) both consume it, so the scores the autotuner
-// ranks by and the projections the experiment tables print cannot
-// drift apart.
+// the R7 full-machine reports (cmd/bagualu-perf) and the deployment
+// autotuner (internal/autotune) both consume it, so the scores the
+// autotuner ranks by and the projections the experiment tables print
+// cannot drift apart.
 
 import (
 	"math"

@@ -7,29 +7,18 @@ import (
 	"bagualu/internal/sunway"
 )
 
-// TestProjectMatchesPredictStep pins that Project is a pure view over
-// the unified PredictStep cost model — the formulas cannot fork again.
-func TestProjectMatchesPredictStep(t *testing.T) {
+// A fault-free prediction pays no checkpoint or rework: goodput 1 and
+// the effective step time equals the visible one.
+func TestPredictStepFaultFreeGoodput(t *testing.T) {
 	d := validDeployment()
 	d.A2A = A2AHierarchical
 	d.ZeRO = true
-	spec := tinySpec()
-	rep, err := d.Project(spec)
+	p, err := d.PredictStep(tinySpec(), FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := d.PredictStep(spec, FaultModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StepTime != p.StepTime || rep.A2ATime != p.A2A || rep.SyncTime != p.Sync {
-		t.Fatalf("Project diverged from PredictStep: %+v vs %+v", rep, p)
-	}
-	if got := p.DenseCompute + p.ExpertCompute; math.Abs(got-rep.ComputeTime) > 1e-12*rep.ComputeTime {
-		t.Fatalf("compute split %v != total %v", got, rep.ComputeTime)
-	}
-	if p.Goodput != 1 || p.EffStepTime != p.StepTime {
-		t.Fatalf("fault-free prediction has goodput %v", p.Goodput)
+	if p.Goodput != 1 || p.EffStepTime != p.StepTime || p.CkptOverhead != 0 {
+		t.Fatalf("fault-free prediction has goodput %v, eff step %v vs %v", p.Goodput, p.EffStepTime, p.StepTime)
 	}
 }
 

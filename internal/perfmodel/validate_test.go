@@ -83,8 +83,8 @@ func TestValidateForRejectsIndivisibleExperts(t *testing.T) {
 	wantConfigError(t, d.ValidateFor(spec), "expert-parallel")
 	// The same rejection must surface through every pricing entry
 	// point, not just the validator.
-	if _, err := d.Project(spec); err == nil {
-		t.Fatal("Project accepted an indivisible expert layout")
+	if _, err := d.PredictStep(spec, FaultModel{}); err == nil {
+		t.Fatal("PredictStep accepted an indivisible expert layout")
 	}
 	if _, err := d.Memory(spec); err == nil {
 		t.Fatal("Memory accepted an indivisible expert layout")

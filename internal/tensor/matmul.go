@@ -3,15 +3,21 @@ package tensor
 import "fmt"
 
 // Matrix-multiply kernels. These are the hot loops of the whole
-// reproduction; they use register-blocked inner kernels over
-// goroutine-parallel row panels, the same decomposition the paper
-// applies across CPE clusters (64 compute cores per core group).
+// reproduction, the analogue of the paper's CPE-blocked GEMM: the
+// output is split into goroutine-parallel row panels, the way the
+// paper spreads a GEMM across the 64 compute cores of a core group.
 //
-// Every public entry point (MatMul, MatMulInto, MatMulTransB,
-// BatchMatMul) routes through a single dispatch decision: problems
-// with at least gemmTiledMin multiply-adds go to the packed tiled
-// kernel in matmul_tiled.go, smaller ones run the unblocked loop
-// whose lower fixed overhead wins at small sizes.
+// Every a@b and a@bᵀ entry point — plain (MatMul, MatMulTransB),
+// batched (BatchMatMul, BatchMatMulTransB) and grouped
+// (GroupedMatMulInto, GroupedMatMulTransBInto) — runs through gemm and
+// from there through exactly two kernels: the packed tiled driver in
+// matmul_tiled.go for problems with at least gemmTiledMin
+// multiply-adds, and the unblocked matmulInto loop below it, whose
+// zero setup cost wins at small sizes. A plain call is the one-group
+// case of a grouped call, and a batched call runs one serial plain
+// call per batch element. aᵀ@b (the weight-gradient layout) streams
+// through its own loop: MatMulTransA here, GroupedMatMulTransAInto in
+// matmul_grouped.go.
 
 // gemmTiledMin is the m*k*n product above which the tiled kernel is
 // dispatched. Measured on amd64, the packed kernel already wins at
@@ -21,7 +27,7 @@ import "fmt"
 const gemmTiledMin = 1 << 16
 
 // useTiled reports whether the tiled kernel should handle an
-// m-by-k-by-n GEMM.
+// m-by-k-by-n GEMM. Grouped calls decide on the group total.
 func useTiled(m, k, n int) bool {
 	return m*k*n >= gemmTiledMin
 }
@@ -31,38 +37,18 @@ func useTiled(m, k, n int) bool {
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := mmDims("MatMul", a, b)
 	out := Scratch(m, n)
-	if useTiled(m, k, n) {
-		matmulTiledInto(out.Data, a.Data, b.Data, m, k, n, true)
-	} else {
-		matmulInto(out.Data, a.Data, b.Data, m, k, n)
-	}
+	gemm(out.Data, a.Data, b.Data, nil, nil, m, k, n, false, useTiled(m, k, n), true)
 	return out
 }
 
-// MatMulNaive returns a@b using the unblocked i-k-j kernel regardless
-// of shape. It exists as the benchmark baseline the tiled kernel is
-// measured against; production code should call MatMul, which
-// dispatches to the best kernel for the shape.
+// MatMulNaive returns a@b using the unblocked kernel regardless of
+// shape. It is the batch-invariant kernel of KV decode and the
+// benchmark baseline the tiled kernel is measured against.
 func MatMulNaive(a, b *Tensor) *Tensor {
 	m, k, n := mmDims("MatMulNaive", a, b)
 	out := New(m, n)
-	matmulInto(out.Data, a.Data, b.Data, m, k, n)
+	gemm(out.Data, a.Data, b.Data, nil, nil, m, k, n, false, false, true)
 	return out
-}
-
-// MatMulInto computes out = a@b, reusing out's storage. out must have
-// shape [m,n].
-func MatMulInto(out, a, b *Tensor) {
-	m, k, n := mmDims("MatMulInto", a, b)
-	if len(out.Shape) != 2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want [%d %d]", out.Shape, m, n))
-	}
-	out.Zero()
-	if useTiled(m, k, n) {
-		matmulTiledInto(out.Data, a.Data, b.Data, m, k, n, true)
-	} else {
-		matmulInto(out.Data, a.Data, b.Data, m, k, n)
-	}
 }
 
 // MatMulTransB returns a@bᵀ for a [m,k] and b [n,k]. This is the
@@ -70,33 +56,17 @@ func MatMulInto(out, a, b *Tensor) {
 // [out,in]. Dispatches like MatMul.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := mmTransBDims(a, b)
-	if useTiled(m, k, n) {
-		out := Scratch(m, n)
-		matmulTransBTiledInto(out.Data, a.Data, b.Data, m, k, n, true)
-		return out
-	}
-	return MatMulTransBNaive(a, b)
+	out := Scratch(m, n)
+	gemm(out.Data, a.Data, b.Data, nil, nil, m, k, n, true, useTiled(m, k, n), true)
+	return out
 }
 
-// MatMulTransBNaive is the unblocked a@bᵀ kernel, kept as the
-// benchmark baseline for the tiled variant.
+// MatMulTransBNaive is a@bᵀ on the unblocked kernel regardless of
+// shape; the benchmark baseline for the tiled variant.
 func MatMulTransBNaive(a, b *Tensor) *Tensor {
 	m, k, n := mmTransBDims(a, b)
 	out := Scratch(m, n)
-	ParallelRows(m, func(s, e int) {
-		for i := s; i < e; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				var sum float32
-				for p := 0; p < k; p++ {
-					sum += arow[p] * brow[p]
-				}
-				orow[j] = sum
-			}
-		}
-	})
+	gemm(out.Data, a.Data, b.Data, nil, nil, m, k, n, true, false, true)
 	return out
 }
 
@@ -129,21 +99,36 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatVec returns a@x for a [m,k] and x [k].
-func MatVec(a, x *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(x.Shape) != 1 || a.Shape[1] != x.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v, %v", a.Shape, x.Shape))
+// BatchMatMul multiplies two rank-3 tensors batch-wise: a [B,m,k] @
+// b [B,k,n] -> [B,m,n]. Used by multi-head attention.
+func BatchMatMul(a, b *Tensor) *Tensor {
+	if len(a.Shape) != 3 || len(b.Shape) != 3 || a.Shape[0] != b.Shape[0] || a.Shape[2] != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: BatchMatMul shapes %v, %v", a.Shape, b.Shape))
 	}
-	m, k := a.Shape[0], a.Shape[1]
-	out := Scratch(m)
-	Parallel(m, func(s, e int) {
-		for i := s; i < e; i++ {
-			row := a.Data[i*k : (i+1)*k]
-			var sum float32
-			for p := 0; p < k; p++ {
-				sum += row[p] * x.Data[p]
-			}
-			out.Data[i] = sum
+	return batchGemm(a, b, b.Shape[2], false)
+}
+
+// BatchMatMulTransB multiplies a [B,m,k] @ bᵀ [B,n,k] -> [B,m,n];
+// the Q@Kᵀ pattern in attention.
+func BatchMatMulTransB(a, b *Tensor) *Tensor {
+	if len(a.Shape) != 3 || len(b.Shape) != 3 || a.Shape[0] != b.Shape[0] || a.Shape[2] != b.Shape[2] {
+		panic(fmt.Sprintf("tensor: BatchMatMulTransB shapes %v, %v", a.Shape, b.Shape))
+	}
+	return batchGemm(a, b, b.Shape[1], true)
+}
+
+// batchGemm runs one plain GEMM per batch element, the batch elements
+// spread over the workers and each element's GEMM serial inside its
+// worker. The kernel is chosen on the per-element shape.
+func batchGemm(a, b *Tensor, n int, transB bool) *Tensor {
+	bs, m, k := a.Shape[0], a.Shape[1], a.Shape[2]
+	out := Scratch(bs, m, n)
+	o := out.Data
+	tiled := useTiled(m, k, n)
+	ParallelRows(bs, func(s, e int) {
+		for bi := s; bi < e; bi++ {
+			gemm(o[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n],
+				nil, nil, m, k, n, transB, tiled, false)
 		}
 	})
 	return out
@@ -166,99 +151,76 @@ func mmTransBDims(a, b *Tensor) (m, k, n int) {
 	return a.Shape[0], a.Shape[1], b.Shape[0]
 }
 
-// matmulInto accumulates a@b into out (out must be zeroed by the
-// caller). i-k-j loop order streams b rows through the cache; the
-// row-panel parallelism gives each worker a disjoint out region.
-func matmulInto(out, a, b []float32, m, k, n int) {
-	ParallelRows(m, func(s, e int) {
-		for i := s; i < e; i++ {
-			arow := a[i*k : (i+1)*k]
-			orow := out[i*n : (i+1)*n]
+// gemm computes out = a@op(B) for a [m,k] and out [m,n], with out
+// zeroed by the caller. op(B) is B ([k,n]) or, when transB, Bᵀ (B
+// stored [n,k]). With off nil, B is b; otherwise rows off[g]..off[g+1]
+// of a multiply bs[g] and b is unused. tiled selects the tiled driver
+// over the unblocked kernel; parallel spreads the rows over the
+// workers (batched calls run each element serially).
+func gemm(out, a, b []float32, off []int, bs []*Tensor, m, k, n int, transB, tiled, parallel bool) {
+	switch {
+	case tiled:
+		matmulTiledInto(out, a, b, off, bs, m, k, n, transB, parallel)
+	case parallel:
+		ParallelRows(m, func(s, e int) { gemmRows(out, a, b, off, bs, k, n, transB, s, e) })
+	default:
+		gemmRows(out, a, b, off, bs, k, n, transB, 0, m)
+	}
+}
+
+// gemmRows runs rows [s,e) of a gemm call on the unblocked kernel,
+// one matmulInto call per output row.
+func gemmRows(out, a, b []float32, off []int, bs []*Tensor, k, n int, transB bool, s, e int) {
+	g := 0
+	if off != nil {
+		g = groupOf(off, s)
+	}
+	for i := s; i < e; i++ {
+		if off != nil {
+			for i >= off[g+1] {
+				g++
+			}
+			b = bs[g].Data
+		}
+		matmulInto(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, transB)
+	}
+}
+
+// matmulInto is the unblocked kernel for one output row: orow =
+// arow @ op(b), with orow zeroed by the caller. a@b
+// streams b rows through the cache, skipping zero activations; a@bᵀ
+// takes one dot product of contiguous rows per output element. The
+// a@b update is unrolled by four: each element keeps its p-ascending
+// sum, and the loop's speed no longer swings with where the linker
+// places its code.
+func matmulInto(orow, arow, b []float32, transB bool) {
+	k, n := len(arow), len(orow)
+	if transB {
+		for j := range orow {
+			brow := b[j*k : (j+1)*k]
+			var sum float32
 			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				sum += arow[p] * brow[p]
 			}
+			orow[j] = sum
 		}
-	})
-}
-
-// BatchMatMul multiplies two rank-3 tensors batch-wise: a [B,m,k] @
-// b [B,k,n] -> [B,m,n]. Used by multi-head attention. Each batch
-// element dispatches independently: large per-batch problems run the
-// tiled kernel serially inside the per-batch worker.
-func BatchMatMul(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 3 || len(b.Shape) != 3 || a.Shape[0] != b.Shape[0] || a.Shape[2] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: BatchMatMul shapes %v, %v", a.Shape, b.Shape))
+		return
 	}
-	bs, m, k, n := a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[2]
-	out := Scratch(bs, m, n)
-	tiled := useTiled(m, k, n)
-	ParallelRows(bs, func(s, e int) {
-		for bi := s; bi < e; bi++ {
-			ab := a.Data[bi*m*k : (bi+1)*m*k]
-			bb := b.Data[bi*k*n : (bi+1)*k*n]
-			ob := out.Data[bi*m*n : (bi+1)*m*n]
-			if tiled {
-				matmulTiledInto(ob, ab, bb, m, k, n, false)
-				continue
-			}
-			for i := 0; i < m; i++ {
-				arow := ab[i*k : (i+1)*k]
-				orow := ob[i*n : (i+1)*n]
-				for p := 0; p < k; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := bb[p*n : (p+1)*n]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
+	for p, av := range arow {
+		if av == 0 {
+			continue
 		}
-	})
-	return out
-}
-
-// BatchMatMulTransB multiplies a [B,m,k] @ bᵀ [B,n,k] -> [B,m,n];
-// the Q@Kᵀ pattern in attention. Dispatches per batch element like
-// BatchMatMul.
-func BatchMatMulTransB(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 3 || len(b.Shape) != 3 || a.Shape[0] != b.Shape[0] || a.Shape[2] != b.Shape[2] {
-		panic(fmt.Sprintf("tensor: BatchMatMulTransB shapes %v, %v", a.Shape, b.Shape))
+		brow := b[p*n : (p+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			o, v := orow[j:j+4:j+4], brow[j:j+4:j+4]
+			o[0] += av * v[0]
+			o[1] += av * v[1]
+			o[2] += av * v[2]
+			o[3] += av * v[3]
+		}
+		for ; j < n; j++ {
+			orow[j] += av * brow[j]
+		}
 	}
-	bs, m, k, n := a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[1]
-	out := Scratch(bs, m, n)
-	tiled := useTiled(m, k, n)
-	ParallelRows(bs, func(s, e int) {
-		for bi := s; bi < e; bi++ {
-			ab := a.Data[bi*m*k : (bi+1)*m*k]
-			bb := b.Data[bi*n*k : (bi+1)*n*k]
-			ob := out.Data[bi*m*n : (bi+1)*m*n]
-			if tiled {
-				matmulTransBTiledInto(ob, ab, bb, m, k, n, false)
-				continue
-			}
-			for i := 0; i < m; i++ {
-				arow := ab[i*k : (i+1)*k]
-				orow := ob[i*n : (i+1)*n]
-				for j := 0; j < n; j++ {
-					brow := bb[j*k : (j+1)*k]
-					var sum float32
-					for p := 0; p < k; p++ {
-						sum += arow[p] * brow[p]
-					}
-					orow[j] = sum
-				}
-			}
-		}
-	})
-	return out
 }

@@ -32,6 +32,18 @@ func groupedFixture(seed uint64, rows []int, k, n int, transB bool) (a *Tensor, 
 	return a, off, bs
 }
 
+// tiledGemm runs a@b (a@bᵀ when transB) through the tiled driver
+// regardless of shape: the per-block reference for the grouped calls.
+func tiledGemm(a, b *Tensor, transB bool) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	if transB {
+		n = b.Shape[0]
+	}
+	out := New(m, n)
+	gemm(out.Data, a.Data, b.Data, nil, nil, m, k, n, transB, true, true)
+	return out
+}
+
 func bitwiseEq(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -50,7 +62,7 @@ func TestGroupedMatMulBitwiseTiledRegime(t *testing.T) {
 	// kernel — bitwise equality proves tiles never span groups.
 	rows := []int{17, 0, 1, 22}
 	a, off, bs := groupedFixture(1, rows, 64, 64, false)
-	if !GroupedUsesTiled(off[len(rows)], 64, 64) {
+	if !useTiled(off[len(rows)], 64, 64) {
 		t.Fatal("fixture should clear the tiled threshold")
 	}
 	out := New(off[len(rows)], 64)
@@ -60,7 +72,7 @@ func TestGroupedMatMulBitwiseTiledRegime(t *testing.T) {
 			continue
 		}
 		blk := a.RowsView(off[g], off[g+1])
-		want := MatMulTiled(blk, bs[g])
+		want := tiledGemm(blk, bs[g], false)
 		bitwiseEq(t, fmt.Sprintf("group %d", g), out.RowsView(off[g], off[g+1]).Data, want.Data)
 	}
 }
@@ -70,7 +82,7 @@ func TestGroupedMatMulBitwiseNaiveRegime(t *testing.T) {
 	// must match the unblocked i-k-j loop per block.
 	rows := []int{2, 3, 0, 1}
 	a, off, bs := groupedFixture(2, rows, 8, 8, false)
-	if GroupedUsesTiled(off[len(rows)], 8, 8) {
+	if useTiled(off[len(rows)], 8, 8) {
 		t.Fatal("fixture should stay under the tiled threshold")
 	}
 	out := New(off[len(rows)], 8)
@@ -93,7 +105,7 @@ func TestGroupedMatMulTransBBitwise(t *testing.T) {
 	GroupedMatMulTransBInto(out, a, off, bs)
 	for g := range bs {
 		blk := a.RowsView(off[g], off[g+1])
-		want := MatMulTransBTiled(blk, bs[g])
+		want := tiledGemm(blk, bs[g], true)
 		bitwiseEq(t, fmt.Sprintf("tiled group %d", g), out.RowsView(off[g], off[g+1]).Data, want.Data)
 	}
 
@@ -167,7 +179,7 @@ func TestGroupedSkewedBatchStaysTiled(t *testing.T) {
 	k, n := 64, 64
 	a, off, bs := groupedFixture(6, rows, k, n, false)
 
-	if !GroupedUsesTiled(off[len(rows)], k, n) {
+	if !useTiled(off[len(rows)], k, n) {
 		t.Fatal("skewed batch total must clear the tiled threshold")
 	}
 	for g := 1; g < len(rows); g++ {
@@ -179,7 +191,7 @@ func TestGroupedSkewedBatchStaysTiled(t *testing.T) {
 	GroupedMatMulInto(out, a, off, bs)
 	for g := range bs {
 		blk := a.RowsView(off[g], off[g+1])
-		want := MatMulTiled(blk, bs[g])
+		want := tiledGemm(blk, bs[g], false)
 		bitwiseEq(t, fmt.Sprintf("group %d", g), out.RowsView(off[g], off[g+1]).Data, want.Data)
 	}
 }

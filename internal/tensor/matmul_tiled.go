@@ -24,31 +24,43 @@ var panelPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// MatMulTiled returns a@b for a [m,k] and b [k,n] using the tiled
-// kernel. It is numerically equivalent to MatMul up to float
-// reassociation and considerably faster for large matrices.
-func MatMulTiled(a, b *Tensor) *Tensor {
-	m, k, n := mmDims("MatMulTiled", a, b)
-	out := Scratch(m, n)
-	matmulTiledInto(out.Data, a.Data, b.Data, m, k, n, true)
-	return out
+// gUnit is one row macro-tile: rows [i0,i1) of the flat activation
+// matrix, all belonging to group g.
+type gUnit struct{ g, i0, i1 int }
+
+// unitPool recycles the per-call unit slices so steady-state calls
+// allocate nothing.
+var unitPool = sync.Pool{New: func() any { return new([]gUnit) }}
+
+// rowTiles splits each group's rows into tileM-row units, appended in
+// group order so a worker's contiguous unit range touches each group
+// at most once per (j,p) panel. off nil means one group of m rows.
+func rowTiles(off []int, m int) *[]gUnit {
+	if off == nil {
+		off = []int{0, m}
+	}
+	up := unitPool.Get().(*[]gUnit)
+	units := (*up)[:0]
+	for g := 0; g+1 < len(off); g++ {
+		for i0 := off[g]; i0 < off[g+1]; i0 += tileM {
+			units = append(units, gUnit{g, i0, min(i0+tileM, off[g+1])})
+		}
+	}
+	*up = units
+	return up
 }
 
-// MatMulTransBTiled returns a@bᵀ for a [m,k] and b [n,k] using the
-// tiled kernel; the backward-pass layout of MatMulTransB.
-func MatMulTransBTiled(a, b *Tensor) *Tensor {
-	m, k, n := mmTransBDims(a, b)
-	out := Scratch(m, n)
-	matmulTransBTiledInto(out.Data, a.Data, b.Data, m, k, n, true)
-	return out
-}
-
-// matmulTiledInto accumulates a@b into out (pre-zeroed by the
-// caller). Each worker owns a disjoint range of row macro-tiles and
-// packs each (p,j) panel of B once, reusing it across all of its row
-// tiles.
-func matmulTiledInto(out, a, b []float32, m, k, n int, parallel bool) {
-	mTiles := (m + tileM - 1) / tileM
+// matmulTiledInto is the tiled driver: it accumulates a@op(B) into the
+// zeroed out, with op, off, b and bs as in gemm. Each worker owns a
+// disjoint range of row macro-tiles and, for every (j,p) block, packs
+// the B panel once and reuses it across its row tiles, repacking only
+// when its tiles cross into the next group. Row tiles never span a
+// group boundary, so every group's output is bitwise identical to a
+// standalone call on that block alone. parallel=false runs the whole
+// problem on the calling goroutine.
+func matmulTiledInto(out, a, b []float32, off []int, bs []*Tensor, m, k, n int, transB, parallel bool) {
+	up := rowTiles(off, m)
+	units := *up
 	body := func(lo, hi int) {
 		bp := panelPool.Get().(*[]float32)
 		panel := *bp
@@ -56,50 +68,32 @@ func matmulTiledInto(out, a, b []float32, m, k, n int, parallel bool) {
 			j1 := min(j0+tileN, n)
 			for p0 := 0; p0 < k; p0 += tileK {
 				p1 := min(p0+tileK, k)
-				packB(panel, b, p0, p1, j0, j1, n)
-				for ti := lo; ti < hi; ti++ {
-					i0 := ti * tileM
-					i1 := min(i0+tileM, m)
-					macroKernel(out, a, panel, i0, i1, j0, j1, p0, p1, k, n)
+				curG := -1
+				for _, u := range units[lo:hi] {
+					if u.g != curG {
+						bg := b
+						if bs != nil {
+							bg = bs[u.g].Data
+						}
+						if transB {
+							packBT(panel, bg, p0, p1, j0, j1, k)
+						} else {
+							packB(panel, bg, p0, p1, j0, j1, n)
+						}
+						curG = u.g
+					}
+					macroKernel(out, a, panel, u.i0, u.i1, j0, j1, p0, p1, k, n)
 				}
 			}
 		}
 		panelPool.Put(bp)
 	}
 	if parallel {
-		ParallelRows(mTiles, body)
+		ParallelRows(len(units), body)
 	} else {
-		body(0, mTiles)
+		body(0, len(units))
 	}
-}
-
-// matmulTransBTiledInto accumulates a@bᵀ into out (pre-zeroed) for
-// a [m,k], b [n,k]. Identical blocking to matmulTiledInto; only the
-// packing differs (B tiles are transposed into the panel).
-func matmulTransBTiledInto(out, a, b []float32, m, k, n int, parallel bool) {
-	mTiles := (m + tileM - 1) / tileM
-	body := func(lo, hi int) {
-		bp := panelPool.Get().(*[]float32)
-		panel := *bp
-		for j0 := 0; j0 < n; j0 += tileN {
-			j1 := min(j0+tileN, n)
-			for p0 := 0; p0 < k; p0 += tileK {
-				p1 := min(p0+tileK, k)
-				packBT(panel, b, p0, p1, j0, j1, k)
-				for ti := lo; ti < hi; ti++ {
-					i0 := ti * tileM
-					i1 := min(i0+tileM, m)
-					macroKernel(out, a, panel, i0, i1, j0, j1, p0, p1, k, n)
-				}
-			}
-		}
-		panelPool.Put(bp)
-	}
-	if parallel {
-		ParallelRows(mTiles, body)
-	} else {
-		body(0, mTiles)
-	}
+	unitPool.Put(up)
 }
 
 // packB copies B[p0:p1, j0:j1] into a contiguous row-major panel with

@@ -272,14 +272,16 @@ func TestMatMulAgainstNaive(t *testing.T) {
 }
 
 func TestMatMulIntoReusesStorage(t *testing.T) {
+	// The Into calls overwrite a caller-owned output: stale contents
+	// must not leak into the product.
 	r := NewRNG(7)
 	a := Randn(r, 1, 8, 8)
 	b := Randn(r, 1, 8, 8)
 	out := Full(99, 8, 8)
-	MatMulInto(out, a, b)
+	GroupedMatMulInto(out, a, []int{0, 8}, []*Tensor{b})
 	want := MatMul(a, b)
 	if !out.AllClose(want, 1e-5) {
-		t.Fatal("MatMulInto differs from MatMul")
+		t.Fatal("GroupedMatMulInto differs from MatMul")
 	}
 }
 
@@ -302,15 +304,6 @@ func TestMatMulTransA(t *testing.T) {
 	want := MatMul(Transpose(a), b)
 	if !got.AllClose(want, 1e-4) {
 		t.Fatal("MatMulTransA mismatch")
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	x := FromSlice([]float32{1, 1}, 2)
-	got := MatVec(a, x)
-	if got.Data[0] != 3 || got.Data[1] != 7 {
-		t.Fatalf("MatVec = %v", got.Data)
 	}
 }
 
@@ -703,10 +696,10 @@ func TestMatMulTiledMatchesNaive(t *testing.T) {
 	} {
 		a := Randn(r, 1, dims[0], dims[1])
 		b := Randn(r, 1, dims[1], dims[2])
-		got := MatMulTiled(a, b)
+		got := tiledGemm(a, b, false)
 		want := matmulNaive(a, b)
 		if !got.AllClose(want, 1e-2) {
-			t.Fatalf("MatMulTiled mismatch at dims %v", dims)
+			t.Fatalf("tiled driver mismatch at dims %v", dims)
 		}
 	}
 }
@@ -715,8 +708,8 @@ func TestMatMulTiledMatchesMatMul(t *testing.T) {
 	r := NewRNG(101)
 	a := Randn(r, 1, 200, 150)
 	b := Randn(r, 1, 150, 180)
-	x := MatMul(a, b)
-	y := MatMulTiled(a, b)
+	x := MatMulNaive(a, b)
+	y := tiledGemm(a, b, false)
 	if !x.AllClose(y, 1e-2) {
 		t.Fatal("tiled and streaming kernels disagree")
 	}
@@ -729,10 +722,12 @@ func BenchmarkMatMulStreaming512(b *testing.B) {
 	b.SetBytes(int64(512 * 512 * 512 * 2 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		MatMulNaive(x, y)
 	}
 }
 
+// BenchmarkMatMulTiled512 runs MatMul, which dispatches 512³ to the
+// tiled driver.
 func BenchmarkMatMulTiled512(b *testing.B) {
 	r := NewRNG(1)
 	x := Randn(r, 1, 512, 512)
@@ -740,7 +735,7 @@ func BenchmarkMatMulTiled512(b *testing.B) {
 	b.SetBytes(int64(512 * 512 * 512 * 2 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTiled(x, y)
+		MatMul(x, y)
 	}
 }
 

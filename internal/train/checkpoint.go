@@ -69,6 +69,46 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("train: checkpoint tensor %q corrupted (crc %08x, want %08x)", e.Tensor, e.Got, e.Want)
 }
 
+// maxCkptRank bounds the tensor rank a stream may declare; model
+// tensors are at most rank 3.
+const maxCkptRank = 8
+
+// FormatError reports a tensor record whose header cannot describe a
+// real tensor (a rank above maxCkptRank, an element count that
+// overflows int, a range outside the tensor) or whose element count
+// disagrees with the param it would restore.
+type FormatError struct {
+	Tensor string
+	Reason string
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("train: checkpoint tensor %q malformed: %s", e.Tensor, e.Reason)
+}
+
+// readPayload reads n little-endian float32s from r in bounded chunks
+// and returns their CRC32 (tensorCRC of the values). When dst is
+// non-nil (len n) the values are decoded into it.
+func readPayload(r io.Reader, n int, dst []float32) (uint32, error) {
+	h := crc32.NewIEEE()
+	var chunk [16 << 10]byte
+	for done := 0; done < n; {
+		c := min(n-done, len(chunk)/4)
+		b := chunk[:4*c]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return 0, err
+		}
+		h.Write(b)
+		if dst != nil {
+			for i := range c {
+				dst[done+i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		}
+		done += c
+	}
+	return h.Sum32(), nil
+}
+
 // Save writes a version-3 checkpoint of params to w. A param whose
 // FullShape is set is written as a range record [ShardLo,
 // ShardLo+len) of the logical tensor; ordinary params cover their
@@ -223,14 +263,18 @@ func LoadIntoCov(r io.Reader, byName map[string]*nn.Param, cov *Coverage) (Heade
 		if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
 			return hdr, err
 		}
-		shape := make([]int, rank)
+		if rank > maxCkptRank {
+			return hdr, &FormatError{Tensor: name, Reason: fmt.Sprintf("rank %d exceeds %d", rank, maxCkptRank)}
+		}
 		full := 1
-		for j := range shape {
+		for j := uint32(0); j < rank; j++ {
 			var d uint32
 			if err := binary.Read(br, binary.LittleEndian, &d); err != nil {
 				return hdr, err
 			}
-			shape[j] = int(d)
+			if d != 0 && full > math.MaxInt/int(d) {
+				return hdr, &FormatError{Tensor: name, Reason: "element count overflows"}
+			}
 			full *= int(d)
 		}
 		lo, hi := 0, full
@@ -241,13 +285,24 @@ func LoadIntoCov(r io.Reader, byName map[string]*nn.Param, cov *Coverage) (Heade
 					return hdr, err
 				}
 			}
-			lo, hi = int(l), int(h)
-			if lo < 0 || hi < lo || hi > full {
-				return hdr, fmt.Errorf("train: checkpoint tensor %q has range [%d,%d) of %d", name, lo, hi, full)
+			if l > h || h > uint64(full) {
+				return hdr, &FormatError{Tensor: name, Reason: fmt.Sprintf("range [%d,%d) of %d", l, h, full)}
 			}
+			lo, hi = int(l), int(h)
 		}
-		buf := make([]float32, hi-lo)
-		if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
+		// Only a record this reader owns is staged, and only once its
+		// length matches the param; any other record is checksummed in
+		// bounded chunks, so a hostile header costs no allocation.
+		p := byName[name]
+		var buf []float32
+		if p != nil {
+			if p.FullLen() != full {
+				return hdr, &FormatError{Tensor: name, Reason: fmt.Sprintf("%d elements, param has %d", full, p.FullLen())}
+			}
+			buf = make([]float32, hi-lo)
+		}
+		crc, err := readPayload(br, hi-lo, buf)
+		if err != nil {
 			return hdr, err
 		}
 		if version >= 2 {
@@ -255,16 +310,12 @@ func LoadIntoCov(r io.Reader, byName map[string]*nn.Param, cov *Coverage) (Heade
 			if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
 				return hdr, err
 			}
-			if got := tensorCRC(buf); got != want {
-				return hdr, &CorruptError{Tensor: name, Want: want, Got: got}
+			if crc != want {
+				return hdr, &CorruptError{Tensor: name, Want: want, Got: crc}
 			}
 		}
-		p := byName[name]
 		if p == nil {
 			continue // tensor not owned by this rank
-		}
-		if p.FullLen() != full {
-			return hdr, fmt.Errorf("train: checkpoint tensor %q has %d elements, param has %d", name, full, p.FullLen())
 		}
 		// Copy the overlap of the record range with this param's view.
 		vLo, vHi := p.ShardLo, p.ShardLo+len(p.W.Data)

@@ -53,6 +53,10 @@ rm -f /tmp/bagualu-serve /tmp/bagualu-fleet-a.csv /tmp/bagualu-fleet-b.csv
 # bitwise under the same seed, run after run.
 go test -race -run 'Dropless|ExpertChoice|Grouped|ExpertGroup|TestInferRouteMatchesForward' ./internal/moe/ ./internal/nn/ ./internal/tensor/
 go test -count=2 -run 'TestGroupedKernelDeterministicReplay' ./internal/tensor/
+# GEMM bit-stability gate: every plain, batched and grouped entry point
+# of the one GEMM driver must reproduce the output digests stored in
+# internal/tensor/testdata, run after run.
+go test -count=2 -run 'TestGemmGoldenDigests' ./internal/tensor/
 # Memory-capacity gates (R15/R16): the ZeRO-sharded optimizer and its
 # shard collectives must survive the race detector, the sharded run
 # must replay bitwise (same losses, same grad norms) run after run,
@@ -103,3 +107,7 @@ go build -o /tmp/bagualu-comm ./cmd/bagualu-comm
 /tmp/bagualu-comm -csv > /tmp/bagualu-comm-b.csv
 cmp /tmp/bagualu-comm-a.csv /tmp/bagualu-comm-b.csv
 rm -f /tmp/bagualu-comm /tmp/bagualu-comm-a.csv /tmp/bagualu-comm-b.csv
+# Checkpoint-decoder gate: a bounded native fuzz run over LoadIntoCov
+# (seeded with valid v1/v2/v3 streams and hostile headers) must never
+# panic, exhaust memory, or accept a range outside its tensor.
+go test -run '^$' -fuzz '^FuzzLoadIntoCov$' -fuzztime 10s ./internal/train/
