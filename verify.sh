@@ -57,6 +57,11 @@ go test -count=2 -run 'TestGroupedKernelDeterministicReplay' ./internal/tensor/
 # of the one GEMM driver must reproduce the output digests stored in
 # internal/tensor/testdata, run after run.
 go test -count=2 -run 'TestGemmGoldenDigests' ./internal/tensor/
+# Single-rank MoE bit-stability gate: the one-rank layer's forward,
+# input and parameter gradients, aux loss and inference output over
+# every routing mode, plus the first BenchmarkTrainStep losses, must
+# reproduce the digests stored in internal/moe/testdata, run after run.
+go test -count=2 -run 'TestSingleRankMoEGoldenDigests' ./internal/moe/
 # Memory-capacity gates (R15/R16): the ZeRO-sharded optimizer and its
 # shard collectives must survive the race detector, the sharded run
 # must replay bitwise (same losses, same grad norms) run after run,
