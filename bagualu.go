@@ -83,9 +83,8 @@ type (
 	GateConfig = moe.GateConfig
 	// RouteMode selects the gate's routing discipline.
 	RouteMode = moe.RouteMode
-	// LocalMoE is the single-rank MoE layer.
-	LocalMoE = moe.LocalMoE
-	// DistMoE is the distributed expert-parallel MoE layer.
+	// DistMoE is the expert-parallel MoE layer; NewLocalMoE builds its
+	// single-rank case.
 	DistMoE = moe.DistMoE
 )
 
@@ -315,8 +314,9 @@ func Evaluate(model *GPT, corpus *Corpus, batches, batchSize int) train.EvalResu
 	return train.Evaluate(model, corpus, batches, batchSize)
 }
 
-// NewLocalMoE builds a single-rank MoE layer with all experts local.
-func NewLocalMoE(name string, r *RNG, cfg GateConfig, hidden int) *LocalMoE {
+// NewLocalMoE builds a single-rank MoE layer with all experts local:
+// the expert-parallel layer on a one-rank communicator.
+func NewLocalMoE(name string, r *RNG, cfg GateConfig, hidden int) *DistMoE {
 	return moe.NewLocalMoE(name, r, cfg, hidden)
 }
 

@@ -46,7 +46,9 @@ func (c CommConfig) String() string {
 // expert pool is sharded evenly over the ranks of an expert-parallel
 // communicator, and tokens travel to their experts (and back) through
 // an all-to-all exchange each step. It implements nn.Layer for the
-// local token batch.
+// local token batch. It is the one MoE layer: the single-rank case
+// (NewLocalMoE) runs it on a one-rank communicator, where every
+// exchange is a self copy.
 //
 // Dispatch and combine run on the mpi wire layer: one flattened,
 // pooled buffer per direction, expert-slot metadata riding inside the
@@ -102,19 +104,47 @@ type DistMoE struct {
 
 	inferStats InferStats // last Infer call; see infer.go
 
-	// Forward caches for backward.
-	perTok    [][]slot    // slot.pos = index into sendOrder[dst]
+	// Forward caches for backward, over backing storage that nothing
+	// outside the layer holds, so it is reused step after step.
+	perTok    [][]slot    // per token: its routing slots, subslices of slotBuf
+	slotBuf   []slot      // backing storage of perTok
 	sendOrder [][]sendRef // per dst rank: which (token, k) produced row i
 	recvCount []int       // rows received from each src rank
-	ordLocal  [][]rowRef  // per local expert: rows of the local phase
-	ordRemote [][]rowRef  // per local expert: rows of the remote phase
-	stLocal   *nn.GroupState
-	stRemote  *nn.GroupState
+	local     phase       // self + intra-supernode rows (all rows when blocking)
+	remote    phase       // cross-supernode rows; overlap mode only
 	// Combine results (y rows per source), kept until Backward needs
 	// them for combine-weight gradients. combRemote is nil outside
 	// overlap mode.
 	combLocal  *mpi.RecvBuf
 	combRemote *mpi.RecvBuf
+
+	// Per-call scratch: send counts, dispatch slot metadata per
+	// destination, and the flat combine-weight gradients handed to
+	// Gate.Backward.
+	counts   []int
+	sendMeta [][]int
+	dwBuf    []float32
+	dwPtrs   [][]float32
+}
+
+// slot records where a token's copy landed: a row of a dispatch
+// chunk, or of a shadowed expert's local batch.
+type slot struct {
+	expert  int
+	pos     int // row within sendOrder[dst], or within shadowRefs[expert]
+	weight  float32
+	dropped bool
+	shadow  bool // handled by a local replica, not the all-to-all
+}
+
+// phase is one received dispatch leg's expert work, cached for
+// backward: the rows grouped per local expert and the grouped GEMM
+// output and state. Expert le's row i is y.Row(off[le]+i).
+type phase struct {
+	ord [][]rowRef     // per local expert: rows in dispatch order
+	off []int          // expert block offsets into y (st.Off)
+	y   *tensor.Tensor // nil when the leg carried no rows
+	st  *nn.GroupState
 }
 
 // Timing accumulates wall-clock seconds per MoE phase across steps;
@@ -169,6 +199,14 @@ type rowRef struct{ src, pos int } // src rank chunk, row position
 // by the communicator size.
 func NewDistMoE(name string, r *tensor.RNG, cfg GateConfig, hidden int, comm *mpi.Comm, algo A2AAlgo) *DistMoE {
 	return NewDistMoEComm(name, r, cfg, hidden, comm, algo, CommConfig{})
+}
+
+// NewLocalMoE builds the single-rank MoE layer: the distributed layer
+// over a one-rank communicator (mpi.SelfComm), holding all
+// cfg.NumExperts experts, each d -> hidden -> d. SimRate stays 0, so
+// expert compute is left for the caller to price.
+func NewLocalMoE(name string, r *tensor.RNG, cfg GateConfig, hidden int) *DistMoE {
+	return NewDistMoE(name, r, cfg, hidden, mpi.SelfComm(), Auto)
 }
 
 // NewDistMoEComm is NewDistMoE with an explicit wire configuration.
@@ -259,30 +297,33 @@ func (m *DistMoE) PhaseTiming() Timing { return m.Time }
 // per-comm, so aggregators must dedupe layers sharing one comm.
 func (m *DistMoE) Comm() *mpi.Comm { return m.comm }
 
-// postRemoteFirst posts every chunk of sb, cross-supernode
-// destinations first so their (expensive, high-latency) messages are
-// injected before the cheap local ones and spend the local compute
-// window in flight.
-func (m *DistMoE) postRemoteFirst(ex *mpi.Exchange, sb *mpi.SendBuf) {
-	p := m.comm.Size()
-	for dst := 0; dst < p; dst++ {
-		if !m.localSN[dst] {
-			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
-		}
-	}
-	for dst := 0; dst < p; dst++ {
-		if m.localSN[dst] {
-			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
-		}
-	}
-}
-
 // begin opens an exchange with the configured algorithm and codec and
-// posts every chunk of sb; the caller chooses how to receive. overlap
-// reports whether the two-phase receive path applies to it.
-func (m *DistMoE) begin(sb *mpi.SendBuf) (ex *mpi.Exchange, overlap bool) {
+// posts every chunk of sb, with meta[dst] riding along when meta is
+// non-nil. Cross-supernode destinations go first so their (expensive,
+// high-latency) messages are injected before the cheap local ones and
+// spend the local compute window in flight. Post copies, so sb and
+// meta are free once begin returns; the caller chooses how to
+// receive. overlap reports whether the two-phase receive path
+// applies.
+func (m *DistMoE) begin(sb *mpi.SendBuf, meta [][]int) (ex *mpi.Exchange, overlap bool) {
 	ex = m.comm.BeginExchange(m.Algo, m.CommCfg.Codec)
-	m.postRemoteFirst(ex, sb)
+	post := func(dst int) {
+		var md []int
+		if meta != nil {
+			md = meta[dst]
+		}
+		ex.Post(dst, sb.Chunk(dst), md)
+	}
+	for dst, local := range m.localSN {
+		if !local {
+			post(dst)
+		}
+	}
+	for dst, local := range m.localSN {
+		if local {
+			post(dst)
+		}
+	}
 	ex.Flush()
 	return ex, m.CommCfg.Overlap && ex.Overlaps()
 }
@@ -292,18 +333,39 @@ func (m *DistMoE) begin(sb *mpi.SendBuf) (ex *mpi.Exchange, overlap bool) {
 // Counts are exact under dropless routing, so each source's
 // variable-length framing is asserted (payload a whole number of
 // d-wide rows, one slot id per row) before rows are attributed.
-func (m *DistMoE) groupRows(rb *mpi.RecvBuf, d int) [][]rowRef {
-	ord := make([][]rowRef, m.LocalExperts)
+func (m *DistMoE) groupRows(ph *phase, rb *mpi.RecvBuf, d int) {
+	ph.ord = emptyLists(ph.ord, m.LocalExperts)
 	for _, src := range rb.Srcs() {
 		rb.Rows(src, d)
 		for pos, le := range rb.Meta(src) {
 			if le < 0 || le >= m.LocalExperts {
 				panic(fmt.Sprintf("moe: received slot %d out of range (local experts %d)", le, m.LocalExperts))
 			}
-			ord[le] = append(ord[le], rowRef{src, pos})
+			ph.ord[le] = append(ph.ord[le], rowRef{src, pos})
 		}
 	}
-	return ord
+}
+
+// emptyLists returns xs resized to n lists, each emptied but keeping
+// its capacity.
+func emptyLists[T any](xs [][]T, n int) [][]T {
+	if cap(xs) < n {
+		xs = append(xs[:cap(xs)], make([][]T, n-cap(xs))...)
+	}
+	xs = xs[:n]
+	for i := range xs {
+		xs[i] = xs[i][:0]
+	}
+	return xs
+}
+
+// sized returns xs resized to n elements, reusing its storage when it
+// is large enough. The contents are unspecified.
+func sized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 func phaseRows(ord [][]rowRef) int {
@@ -314,14 +376,33 @@ func phaseRows(ord [][]rowRef) int {
 	return n
 }
 
+// rowCounts returns the reused counts scratch filled with rows[i]*d,
+// the SendBuf sizes for a leg that carries rows[i] d-wide rows to
+// rank i.
+func (m *DistMoE) rowCounts(rows func(i int) int, d int) []int {
+	p := m.comm.Size()
+	m.counts = sized(m.counts, p)
+	for i := range m.counts {
+		m.counts[i] = rows(i) * d
+	}
+	return m.counts
+}
+
+// countRecv records in counts how many rows each source of rb sent.
+func countRecv(counts []int, rb *mpi.RecvBuf) {
+	for _, src := range rb.Srcs() {
+		counts[src] = len(rb.Meta(src))
+	}
+}
+
 // chargeCompute advances the virtual clock by the expert GEMM time at
-// SimRate FLOP/s (two d×hidden matmuls per row forward, double that
-// backward). No-op when SimRate is unset.
+// SimRate FLOP/s (expertFlops forward, double that backward). No-op
+// when SimRate is unset.
 func (m *DistMoE) chargeCompute(rows int, backward bool) {
 	if m.SimRate <= 0 || rows == 0 {
 		return
 	}
-	f := 4 * float64(rows) * float64(m.Cfg.Dim) * float64(m.hidden)
+	f := expertFlops(rows, m.Cfg.Dim, m.hidden)
 	if backward {
 		f *= 2
 	}
@@ -332,35 +413,76 @@ func (m *DistMoE) chargeCompute(rows int, backward bool) {
 // through one grouped FFN call: every expert's rows are packed into a
 // flat [rows, d] matrix (expert-major, dispatch order within each
 // expert) and the GEMM kernel dispatch sees the phase's total FLOPs.
-// Returns per-expert output views (nil for idle experts) and the
-// grouped backward state (nil when the phase received nothing).
-func (m *DistMoE) runExperts(rb *mpi.RecvBuf, ord [][]rowRef, d int) ([]*tensor.Tensor, *nn.GroupState) {
-	outs := make([]*tensor.Tensor, m.LocalExperts)
-	total := phaseRows(ord)
+// Leaves ph.y and ph.st nil when the phase received nothing.
+func (m *DistMoE) runExperts(ph *phase, rb *mpi.RecvBuf, d int) {
+	ph.y, ph.st = nil, nil
+	total := phaseRows(ph.ord)
 	if total == 0 || m.LocalExperts == 0 {
-		return outs, nil
+		return
 	}
-	off := make([]int, m.LocalExperts+1)
-	in := tensor.New(total, d)
+	ph.off = sized(ph.off, m.LocalExperts+1)
+	in := tensor.Scratch(total, d)
 	row := 0
-	for le, refs := range ord {
-		off[le] = row
+	for le, refs := range ph.ord {
+		ph.off[le] = row
 		for _, ref := range refs {
 			copy(in.Row(row), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
 			row++
 		}
 	}
-	off[m.LocalExperts] = row
+	ph.off[m.LocalExperts] = row
 	if m.group == nil {
 		m.group = nn.NewExpertGroup(m.Experts)
 	}
-	y, st := m.group.Forward(in, off)
-	for le := range outs {
-		if off[le+1] > off[le] {
-			outs[le] = y.RowsView(off[le], off[le+1])
+	ph.y, ph.st = m.group.Forward(in, ph.off)
+}
+
+// fillCombine copies a phase's expert outputs into the combine send
+// buffer at each row's dispatch position.
+func fillCombine(csb *mpi.SendBuf, ph *phase, d int) {
+	for le, refs := range ph.ord {
+		for i, ref := range refs {
+			copy(csb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], ph.y.Row(ph.off[le]+i))
 		}
 	}
-	return outs, st
+}
+
+// backExperts runs one phase's grouped expert backward: the received
+// output gradients are packed in the forward order (expert-major),
+// and the input gradients scatter into rsb at their dispatch
+// positions.
+func (m *DistMoE) backExperts(ph *phase, rb *mpi.RecvBuf, rsb *mpi.SendBuf, d int) {
+	if ph.st == nil {
+		return
+	}
+	dy := tensor.Scratch(ph.st.Rows(), d)
+	row := 0
+	for _, refs := range ph.ord {
+		for _, ref := range refs {
+			copy(dy.Row(row), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
+			row++
+		}
+	}
+	dx := m.group.Backward(dy, ph.st)
+	row = 0
+	for _, refs := range ph.ord {
+		for _, ref := range refs {
+			copy(rsb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], dx.Row(row))
+			row++
+		}
+	}
+}
+
+// dropCaches invalidates every forward cache, including the grouped
+// GEMM view over the expert shard (it caches weight tensor slices);
+// migration and resharding call it.
+func (m *DistMoE) dropCaches() {
+	m.group = nil
+	m.perTok, m.slotBuf = nil, nil
+	m.sendOrder = nil
+	m.recvCount = nil
+	m.local, m.remote = phase{}, phase{}
+	m.releaseCombine()
 }
 
 // releaseCombine frees the previous step's combine buffers (normally
@@ -386,29 +508,30 @@ func (m *DistMoE) combRow(src, pos, d int) []float32 {
 	return rb.Chunk(src)[pos*d : (pos+1)*d]
 }
 
-// Forward gates local tokens, dispatches them to expert owners,
-// applies the experts, and combines the returned outputs. With
-// overlap on, the dispatch is two-phase: local-supernode tokens are
-// absorbed and computed (along with shadowed experts) while the
-// cross-supernode leg is still in flight.
-func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
-	tokens, d := x.Shape[0], x.Shape[1]
-	p := m.comm.Size()
-	m.releaseCombine()
+// route fills the per-token slots and the per-destination send order
+// (shadowed experts stay local) from the gate's assignments, over the
+// layer's reused storage.
+func (m *DistMoE) route(assign [][]Assignment) {
+	tokens := len(assign)
+	m.sendOrder = emptyLists(m.sendOrder, m.comm.Size())
 	if len(m.shadowList) > 0 {
-		m.refreshShadows()
+		if m.shadowRefs == nil {
+			m.shadowRefs = make(map[int][]sendRef)
+		}
+		for e, refs := range m.shadowRefs {
+			m.shadowRefs[e] = refs[:0]
+		}
 	}
-	t0 := time.Now()
-	routing := m.Gate.Forward(x)
-	m.Time.Gate += time.Since(t0).Seconds()
-
-	// Route: per-destination row lists; shadowed experts stay local.
-	m.sendOrder = make([][]sendRef, p)
-	m.shadowRefs = make(map[int][]sendRef)
-	m.perTok = make([][]slot, tokens)
-	for t := 0; t < tokens; t++ {
-		as := routing.Assign[t]
-		m.perTok[t] = make([]slot, len(as))
+	total := 0
+	for _, as := range assign {
+		total += len(as)
+	}
+	m.slotBuf = sized(m.slotBuf, total)
+	m.perTok = sized(m.perTok, tokens)
+	off := 0
+	for t, as := range assign {
+		m.perTok[t] = m.slotBuf[off : off+len(as) : off+len(as)]
+		off += len(as)
 		for i, a := range as {
 			s := slot{expert: a.Expert, weight: a.Weight, dropped: a.Dropped}
 			if !a.Dropped {
@@ -425,24 +548,39 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 			m.perTok[t][i] = s
 		}
 	}
+}
+
+// Forward gates local tokens, dispatches them to expert owners,
+// applies the experts, and combines the returned outputs. With
+// overlap on, the dispatch is two-phase: local-supernode tokens are
+// absorbed and computed (along with shadowed experts) while the
+// cross-supernode leg is still in flight.
+func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
+	tokens, d := x.Shape[0], x.Shape[1]
+	p := m.comm.Size()
+	m.releaseCombine()
+	if len(m.shadowList) > 0 {
+		m.refreshShadows()
+	}
+	t0 := time.Now()
+	routing := m.Gate.Forward(x)
+	m.Time.Gate += time.Since(t0).Seconds()
+	m.route(routing.Assign)
 
 	// Stage the flattened dispatch buffer: one pooled payload, counts
 	// header per destination, expert-slot ids riding as metadata.
-	counts := make([]int, p)
-	for dst := 0; dst < p; dst++ {
-		counts[dst] = len(m.sendOrder[dst]) * d
-	}
-	sb := mpi.NewSendBuf(counts)
+	sb := mpi.NewSendBuf(m.rowCounts(func(dst int) int { return len(m.sendOrder[dst]) }, d))
+	m.sendMeta = emptyLists(m.sendMeta, p)
 	for dst := 0; dst < p; dst++ {
 		for _, ref := range m.sendOrder[dst] {
 			sb.Append(dst, x.Row(ref.token))
-			sb.AppendMeta(dst, m.slotOf[m.perTok[ref.token][ref.k].expert])
+			m.sendMeta[dst] = append(m.sendMeta[dst], m.slotOf[m.perTok[ref.token][ref.k].expert])
 		}
 	}
 
 	t0 = time.Now()
 	var dispLocal, dispRemote *mpi.RecvBuf
-	ex, overlap := m.begin(sb)
+	ex, overlap := m.begin(sb, m.sendMeta)
 	tl := time.Now()
 	if overlap {
 		dispLocal = ex.RecvLocal()
@@ -455,18 +593,17 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 	// Phase 1: experts on self + intra-supernode tokens (all tokens
 	// when blocking).
-	m.ordLocal = m.groupRows(dispLocal, d)
+	m.groupRows(&m.local, dispLocal, d)
 	t0 = time.Now()
-	outLocal, stLocal := m.runExperts(dispLocal, m.ordLocal, d)
-	m.stLocal = stLocal
-	m.chargeCompute(phaseRows(m.ordLocal), false)
+	m.runExperts(&m.local, dispLocal, d)
+	m.chargeCompute(phaseRows(m.local.ord), false)
 
 	// Shadowed experts: local replicas on local tokens, also inside
 	// the in-flight window (no all-to-all involvement at all). The
 	// replicas run as their own grouped FFN call, in shadowList order.
-	m.shadowOuts = make(map[int]*tensor.Tensor, len(m.shadowList))
 	m.shadowSt = nil
 	if n := len(m.shadowList); n > 0 {
+		m.shadowOuts = make(map[int]*tensor.Tensor, n)
 		soff := make([]int, n+1)
 		srows := 0
 		for i, e := range m.shadowList {
@@ -476,7 +613,7 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 		soff[n] = srows
 		m.shadowOff = soff
 		if srows > 0 {
-			in := tensor.New(srows, d)
+			in := tensor.Scratch(srows, d)
 			row := 0
 			for _, e := range m.shadowList {
 				for _, ref := range m.shadowRefs[e] {
@@ -495,59 +632,42 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	m.Time.Expert += time.Since(t0).Seconds()
 
-	// Phase 2: absorb the cross-supernode leg and run its tokens.
-	var outRemote []*tensor.Tensor
+	// Phase 2: absorb the cross-supernode leg and run its tokens (an
+	// empty phase when blocking).
+	m.remote.ord, m.remote.y, m.remote.st = m.remote.ord[:0], nil, nil
 	if overlap {
 		t0 = time.Now()
 		dispRemote = ex.RecvRemote()
 		dt := time.Since(t0).Seconds()
 		m.Time.DispatchRemote += dt
 		m.Time.Dispatch += dt
-		m.ordRemote = m.groupRows(dispRemote, d)
+		m.groupRows(&m.remote, dispRemote, d)
 		t0 = time.Now()
-		outRemote, m.stRemote = m.runExperts(dispRemote, m.ordRemote, d)
-		m.chargeCompute(phaseRows(m.ordRemote), false)
+		m.runExperts(&m.remote, dispRemote, d)
+		m.chargeCompute(phaseRows(m.remote.ord), false)
 		m.Time.Expert += time.Since(t0).Seconds()
-	} else {
-		m.ordRemote, m.stRemote = nil, nil
 	}
 
 	// Rows received per source, for combine sizing and backward.
-	m.recvCount = make([]int, p)
-	for _, src := range dispLocal.Srcs() {
-		m.recvCount[src] = len(dispLocal.Meta(src))
-	}
+	m.recvCount = sized(m.recvCount, p)
+	clear(m.recvCount)
+	countRecv(m.recvCount, dispLocal)
 	if dispRemote != nil {
-		for _, src := range dispRemote.Srcs() {
-			m.recvCount[src] = len(dispRemote.Meta(src))
-		}
+		countRecv(m.recvCount, dispRemote)
 	}
 
 	// Combine: expert outputs return to token owners, positionally
 	// aligned with each source's dispatch order.
-	ccounts := make([]int, p)
-	for s := 0; s < p; s++ {
-		ccounts[s] = m.recvCount[s] * d
-	}
-	csb := mpi.NewSendBuf(ccounts)
-	fill := func(ord [][]rowRef, outs []*tensor.Tensor) {
-		for le, refs := range ord {
-			for i, ref := range refs {
-				copy(csb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], outs[le].Row(i))
-			}
-		}
-	}
-	fill(m.ordLocal, outLocal)
-	if outRemote != nil {
-		fill(m.ordRemote, outRemote)
-	}
+	csb := mpi.NewSendBuf(m.rowCounts(func(src int) int { return m.recvCount[src] }, d))
+	fillCombine(csb, &m.local, d)
+	fillCombine(csb, &m.remote, d)
 	dispLocal.Release()
 	if dispRemote != nil {
 		dispRemote.Release()
 	}
 
 	t0 = time.Now()
-	ex2, _ := m.begin(csb)
+	ex2, _ := m.begin(csb, nil)
 	if overlap {
 		tl := time.Now()
 		m.combLocal = ex2.RecvLocal()
@@ -561,7 +681,7 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	csb.Release()
 	m.Time.Combine += time.Since(t0).Seconds()
 
-	out := tensor.New(tokens, d)
+	out := tensor.Scratch(tokens, d)
 	for dst := 0; dst < p; dst++ {
 		for i, ref := range m.sendOrder[dst] {
 			s := m.perTok[ref.token][ref.k]
@@ -595,17 +715,20 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tokens, d := dout.Shape[0], dout.Shape[1]
 	p := m.comm.Size()
 
-	// Combine-weight gradients for the gate, and ŵ-scaled output
+	// Combine-weight gradients for the gate (flat reused storage,
+	// consumed synchronously by Gate.Backward), and ŵ-scaled output
 	// gradients for the experts, staged flat per destination.
-	dWeights := make([][]float32, tokens)
+	m.dwPtrs = sized(m.dwPtrs, tokens)
+	m.dwBuf = sized(m.dwBuf, len(m.slotBuf))
+	clear(m.dwBuf)
+	dWeights := m.dwPtrs
+	off := 0
 	for t := range dWeights {
-		dWeights[t] = make([]float32, len(m.perTok[t]))
+		n := len(m.perTok[t])
+		dWeights[t] = m.dwBuf[off : off+n : off+n]
+		off += n
 	}
-	counts := make([]int, p)
-	for dst := 0; dst < p; dst++ {
-		counts[dst] = len(m.sendOrder[dst]) * d
-	}
-	dsb := mpi.NewSendBuf(counts)
+	dsb := mpi.NewSendBuf(m.rowCounts(func(dst int) int { return len(m.sendOrder[dst]) }, d))
 	for dst := 0; dst < p; dst++ {
 		chunk := dsb.Chunk(dst)
 		for i, ref := range m.sendOrder[dst] {
@@ -626,7 +749,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// backward (same row order as the shadow forward).
 	var shadowDy *tensor.Tensor
 	if m.shadowSt != nil {
-		shadowDy = tensor.New(m.shadowSt.Rows(), d)
+		shadowDy = tensor.Scratch(m.shadowSt.Rows(), d)
 		for i, e := range m.shadowList {
 			base := m.shadowOff[i]
 			for j, ref := range m.shadowRefs[e] {
@@ -647,7 +770,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Reverse dispatch of output gradients (the combine's backward).
 	t0 := time.Now()
 	var dyLocal, dyRemote *mpi.RecvBuf
-	ex, overlap := m.begin(dsb)
+	ex, overlap := m.begin(dsb, nil)
 	tl := time.Now()
 	if overlap {
 		dyLocal = ex.RecvLocal()
@@ -660,38 +783,10 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// Expert backward per phase; input grads are scattered into the
 	// flat return buffer at their dispatch positions.
-	rcounts := make([]int, p)
-	for s := 0; s < p; s++ {
-		rcounts[s] = m.recvCount[s] * d
-	}
-	rsb := mpi.NewSendBuf(rcounts)
-	backPhase := func(rb *mpi.RecvBuf, ord [][]rowRef, st *nn.GroupState) {
-		if st == nil {
-			return
-		}
-		// Flat dy in the forward pack order (expert-major), one
-		// grouped backward call, then input grads scatter back to
-		// their dispatch positions.
-		dy := tensor.New(st.Rows(), d)
-		row := 0
-		for _, refs := range ord {
-			for _, ref := range refs {
-				copy(dy.Row(row), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
-				row++
-			}
-		}
-		dx := m.group.Backward(dy, st)
-		row = 0
-		for _, refs := range ord {
-			for _, ref := range refs {
-				copy(rsb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], dx.Row(row))
-				row++
-			}
-		}
-	}
+	rsb := mpi.NewSendBuf(m.rowCounts(func(src int) int { return m.recvCount[src] }, d))
 	t0 = time.Now()
-	backPhase(dyLocal, m.ordLocal, m.stLocal)
-	m.chargeCompute(phaseRows(m.ordLocal), true)
+	m.backExperts(&m.local, dyLocal, rsb, d)
+	m.chargeCompute(phaseRows(m.local.ord), true)
 	m.Time.Expert += time.Since(t0).Seconds()
 	if overlap {
 		t0 = time.Now()
@@ -700,8 +795,8 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		m.Time.CombineRemote += dt
 		m.Time.Combine += dt
 		t0 = time.Now()
-		backPhase(dyRemote, m.ordRemote, m.stRemote)
-		m.chargeCompute(phaseRows(m.ordRemote), true)
+		m.backExperts(&m.remote, dyRemote, rsb, d)
+		m.chargeCompute(phaseRows(m.remote.ord), true)
 		m.Time.Expert += time.Since(t0).Seconds()
 	}
 	dyLocal.Release()
@@ -712,12 +807,12 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Return input gradients to token owners (the dispatch's
 	// backward); the next layer needs every row, so this leg blocks.
 	t0 = time.Now()
-	exRet, _ := m.begin(rsb)
+	exRet, _ := m.begin(rsb, nil)
 	ret := exRet.RecvAll()
 	rsb.Release()
 	m.Time.Dispatch += time.Since(t0).Seconds()
 
-	dx := tensor.New(tokens, d)
+	dx := tensor.Scratch(tokens, d)
 	for dst := 0; dst < p; dst++ {
 		for i, ref := range m.sendOrder[dst] {
 			src := ret.Chunk(dst)[i*d : (i+1)*d]

@@ -1,8 +1,8 @@
 // Package moe implements the Mixture-of-Experts layer family at the
 // heart of BaGuaLu: top-k gating with capacity limits and an
-// auxiliary load-balancing loss, a local (single-rank) MoE layer, and
-// the distributed expert-parallel MoE layer whose dispatch/combine
-// runs over the mpi package's all-to-all.
+// auxiliary load-balancing loss, and the expert-parallel MoE layer
+// whose dispatch/combine runs over the mpi package's all-to-all — on
+// a one-rank communicator for the single-rank case.
 //
 // Brain-scale parameter counts come from replicating experts: the
 // 174-trillion-parameter configuration in the paper is a modest

@@ -9,11 +9,11 @@ import (
 // Inference dispatch path. Serving routes top-k like training but
 // drops everything training-only: no gate noise, no capacity limit
 // (no token is ever dropped at inference), no auxiliary losses, no
-// backward caches, no shadow replicas. The distributed variant still
-// rides the two-phase flattened Exchange — FP16 codec on
-// inter-supernode legs, local experts overlapped with the remote
-// receive — because that wire layer is exactly what an MoE serving
-// engine needs per decode step.
+// backward caches, no shadow replicas. It still rides the two-phase
+// flattened Exchange — FP16 codec on inter-supernode legs, local
+// experts overlapped with the remote receive — because that wire
+// layer is exactly what an MoE serving engine needs per decode step;
+// on a one-rank communicator the exchange is a self copy.
 //
 // Numerics are batch-invariant end to end: the gate projection uses
 // the naive kernel, softmax and top-k are per-row, expert FFNs run
@@ -36,8 +36,9 @@ type InferStats struct {
 	// row: d->hidden, hidden->d).
 	Flops float64
 	// Charged reports whether Flops was already priced onto the
-	// rank's virtual clock (DistMoE does this itself when SimRate is
-	// set; LocalMoE leaves pricing to the caller).
+	// rank's virtual clock: the layer does this itself when SimRate is
+	// set. NewLocalMoE leaves SimRate at 0, so single-rank callers
+	// price the expert compute themselves.
 	Charged bool
 }
 
@@ -71,76 +72,6 @@ func (g *Gate) InferRoute(x *tensor.Tensor) [][]Assignment {
 	return assign
 }
 
-// inferExpert applies expert f to the gathered rows, with the
-// inference (batch-invariant, no-cache) forward.
-func inferExpert(f *nn.FeedForward, in *tensor.Tensor) *tensor.Tensor {
-	return f.Infer(in)
-}
-
-// Infer runs the local MoE in inference mode. Stats are recorded with
-// Charged=false: the caller owns pricing of single-rank expert
-// compute.
-func (m *LocalMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
-	tokens, d := x.Shape[0], x.Shape[1]
-	assign := m.Gate.InferRoute(x)
-
-	gather := make([][]int, m.Cfg.NumExperts) // expert -> token rows
-	pos := make([][]int, tokens)              // token,k -> row in expert batch
-	rows := 0
-	for t := 0; t < tokens; t++ {
-		pos[t] = make([]int, len(assign[t]))
-		for k, a := range assign[t] {
-			pos[t][k] = len(gather[a.Expert])
-			gather[a.Expert] = append(gather[a.Expert], t)
-			rows++
-		}
-	}
-
-	outs := make([]*tensor.Tensor, m.Cfg.NumExperts)
-	active := 0
-	hidden := m.Experts[0].Up.Out
-	for e, toks := range gather {
-		if len(toks) == 0 {
-			continue
-		}
-		active++
-		in := tensor.New(len(toks), d)
-		for i, t := range toks {
-			copy(in.Row(i), x.Row(t))
-		}
-		outs[e] = inferExpert(m.Experts[e], in)
-	}
-
-	out := tensor.New(tokens, d)
-	for t := 0; t < tokens; t++ {
-		row := out.Row(t)
-		for k, a := range assign[t] {
-			y := outs[a.Expert].Row(pos[t][k])
-			for j := range row {
-				row[j] += a.Weight * y[j]
-			}
-		}
-	}
-	m.inferStats = InferStats{Rows: rows, ActiveExperts: active, Flops: expertFlops(rows, d, hidden), Charged: false}
-	return out
-}
-
-// LastInferStats returns the expert-work stats of the last Infer call.
-func (m *LocalMoE) LastInferStats() InferStats { return m.inferStats }
-
-// NumLocalExperts returns how many experts live on this rank (all of
-// them, for the local layer).
-func (m *LocalMoE) NumLocalExperts() int { return len(m.Experts) }
-
-// PerExpertParams returns the parameter count of one expert FFN.
-func (m *LocalMoE) PerExpertParams() int {
-	n := 0
-	for _, p := range m.Experts[0].Params() {
-		n += p.W.Len()
-	}
-	return n
-}
-
 // Infer runs the distributed MoE in inference mode: gate locally,
 // dispatch token rows to expert owners over the two-phase flattened
 // exchange, run local experts (overlapped with the remote leg when
@@ -164,20 +95,17 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	counts := make([]int, p)
-	for dst := 0; dst < p; dst++ {
-		counts[dst] = len(sendOrder[dst]) * d
-	}
-	sb := mpi.NewSendBuf(counts)
+	sb := mpi.NewSendBuf(m.rowCounts(func(dst int) int { return len(sendOrder[dst]) }, d))
+	m.sendMeta = emptyLists(m.sendMeta, p)
 	for dst := 0; dst < p; dst++ {
 		for _, ref := range sendOrder[dst] {
 			sb.Append(dst, x.Row(ref.token))
-			sb.AppendMeta(dst, m.slotOf[assign[ref.token][ref.k].Expert])
+			m.sendMeta[dst] = append(m.sendMeta[dst], m.slotOf[assign[ref.token][ref.k].Expert])
 		}
 	}
 
 	var dispLocal, dispRemote *mpi.RecvBuf
-	ex, overlap := m.begin(sb)
+	ex, overlap := m.begin(sb, m.sendMeta)
 	if overlap {
 		dispLocal = ex.RecvLocal()
 	} else {
@@ -185,38 +113,30 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 	}
 	sb.Release()
 
-	ordLocal := m.groupRows(dispLocal, d)
-	outLocal := m.inferExperts(dispLocal, ordLocal, d)
-	rows := phaseRows(ordLocal)
+	var local, remote phase
+	m.groupRows(&local, dispLocal, d)
+	outLocal := m.inferExperts(dispLocal, local.ord, d)
+	rows := phaseRows(local.ord)
 	m.chargeCompute(rows, false)
 
-	var ordRemote [][]rowRef
 	var outRemote []*tensor.Tensor
 	if overlap {
 		dispRemote = ex.RecvRemote()
-		ordRemote = m.groupRows(dispRemote, d)
-		outRemote = m.inferExperts(dispRemote, ordRemote, d)
-		r := phaseRows(ordRemote)
+		m.groupRows(&remote, dispRemote, d)
+		outRemote = m.inferExperts(dispRemote, remote.ord, d)
+		r := phaseRows(remote.ord)
 		m.chargeCompute(r, false)
 		rows += r
 	}
 
 	// Rows received per source, for combine sizing.
 	recvCount := make([]int, p)
-	for _, src := range dispLocal.Srcs() {
-		recvCount[src] = len(dispLocal.Meta(src))
-	}
+	countRecv(recvCount, dispLocal)
 	if dispRemote != nil {
-		for _, src := range dispRemote.Srcs() {
-			recvCount[src] = len(dispRemote.Meta(src))
-		}
+		countRecv(recvCount, dispRemote)
 	}
 
-	ccounts := make([]int, p)
-	for s := 0; s < p; s++ {
-		ccounts[s] = recvCount[s] * d
-	}
-	csb := mpi.NewSendBuf(ccounts)
+	csb := mpi.NewSendBuf(m.rowCounts(func(src int) int { return recvCount[src] }, d))
 	fill := func(ord [][]rowRef, outs []*tensor.Tensor) {
 		for le, refs := range ord {
 			for i, ref := range refs {
@@ -224,9 +144,9 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	fill(ordLocal, outLocal)
+	fill(local.ord, outLocal)
 	if outRemote != nil {
-		fill(ordRemote, outRemote)
+		fill(remote.ord, outRemote)
 	}
 	dispLocal.Release()
 	if dispRemote != nil {
@@ -234,7 +154,7 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 	}
 
 	var combLocal, combRemote *mpi.RecvBuf
-	ex2, _ := m.begin(csb)
+	ex2, _ := m.begin(csb, nil)
 	if overlap {
 		combLocal = ex2.RecvLocal()
 		combRemote = ex2.RecvRemote()
@@ -271,9 +191,9 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 	active := 0
 	for le := 0; le < m.LocalExperts; le++ {
-		busy := len(ordLocal[le]) > 0
-		if !busy && ordRemote != nil {
-			busy = len(ordRemote[le]) > 0
+		busy := len(local.ord[le]) > 0
+		if !busy && remote.ord != nil {
+			busy = len(remote.ord[le]) > 0
 		}
 		if busy {
 			active++
@@ -300,7 +220,7 @@ func (m *DistMoE) inferExperts(rb *mpi.RecvBuf, ord [][]rowRef, d int) []*tensor
 		for i, ref := range refs {
 			copy(in.Row(i), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
 		}
-		outs[le] = inferExpert(m.Experts[le], in)
+		outs[le] = m.Experts[le].Infer(in)
 	}
 	return outs
 }

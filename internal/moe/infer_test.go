@@ -53,9 +53,10 @@ func TestInferRouteMatchesTrainingGate(t *testing.T) {
 	}
 }
 
-// DistMoE.Infer must agree with LocalMoE.Infer built from the same
-// seed (same gate, same experts, different placement), for every wire
-// configuration, and record self-charged stats when SimRate is set.
+// The 4-rank layer's Infer must agree with the one-rank layer's Infer
+// built from the same seed (same gate, same experts, different
+// placement), for every wire configuration, and record self-charged
+// stats when SimRate is set.
 func TestDistMoEInferMatchesLocal(t *testing.T) {
 	const P, tokens, d, hidden = 4, 6, 8, 16
 	cfg := gateCfg(d, 8, 2)
@@ -76,8 +77,8 @@ func TestDistMoEInferMatchesLocal(t *testing.T) {
 			outs[c.Rank()] = m.Infer(x)
 			stats[c.Rank()] = m.LastInferStats()
 		})
-		// Reference pass outside the world: the shared LocalMoE is not
-		// safe for concurrent Infer (it records per-call stats).
+		// Reference pass outside the world: the shared one-rank layer
+		// owns one communicator and is not safe for concurrent Infer.
 		for rank := 0; rank < P; rank++ {
 			x := tensor.Randn(tensor.NewRNG(100+uint64(rank)), 1, tokens, d)
 			want[rank] = local.Infer(x)

@@ -137,17 +137,7 @@ func (m *DistMoE) MigrateOpt(newPlace *Placement, opt OptStateCarrier) error {
 	for _, e := range globals {
 		m.Experts = append(m.Experts, byGlobal[e])
 	}
-	// Invalidate forward caches (including the grouped-GEMM view over
-	// the expert shard, which caches weight tensor slices).
-	m.group = nil
-	m.perTok = nil
-	m.sendOrder = nil
-	m.recvCount = nil
-	m.ordLocal = nil
-	m.ordRemote = nil
-	m.stLocal = nil
-	m.stRemote = nil
-	m.releaseCombine()
+	m.dropCaches()
 	return nil
 }
 
@@ -199,16 +189,8 @@ func (m *DistMoE) ReshardTo(newComm *mpi.Comm, newPlace *Placement) error {
 	m.shadowList = nil
 	m.shadowRefs = nil
 	m.shadowOuts = nil
-	m.group = nil
 	m.shadowGroup = nil
-	m.perTok = nil
-	m.sendOrder = nil
-	m.recvCount = nil
-	m.ordLocal = nil
-	m.ordRemote = nil
-	m.stLocal = nil
-	m.stRemote = nil
-	m.releaseCombine()
+	m.dropCaches()
 	return nil
 }
 

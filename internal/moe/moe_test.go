@@ -286,34 +286,54 @@ func runDist(t *testing.T, algo A2AAlgo, seed uint64) (outs, dxs []*tensor.Tenso
 	return outs, dxs
 }
 
+// sameBits reports whether a and b hold bit-identical float32 values.
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestDistMoEMatchesLocal(t *testing.T) {
 	const P, tokens, d = 4, 6, 8
 	seed := uint64(42)
-	outs, dxs := runDist(t, Auto, seed)
 
-	// Reference: per-rank LocalMoE with the same construction seed
-	// holds all experts with identical weights, so outputs and input
-	// gradients must match exactly.
+	// Reference: the one-rank layer (NewLocalMoE) with the same
+	// construction seed holds all experts with identical weights, so
+	// every rank's output and input gradient must match it bit for
+	// bit, whichever all-to-all algorithm carries the tokens.
 	expertGradSum := map[string]*tensor.Tensor{}
+	wantOut := make([]*tensor.Tensor, P)
+	wantDx := make([]*tensor.Tensor, P)
 	for rank := 0; rank < P; rank++ {
 		r := tensor.NewRNG(seed)
 		cfg := gateCfg(d, 8, 2)
 		local := NewLocalMoE("moe", r, cfg, 16)
 		xr := tensor.NewRNG(seed + 100 + uint64(rank))
 		x := tensor.Randn(xr, 1, tokens, d)
-		out := local.Forward(x)
-		dx := local.Backward(tensor.Ones(tokens, d))
-		if !outs[rank].AllClose(out, 1e-4) {
-			t.Fatalf("rank %d: DistMoE forward differs from LocalMoE", rank)
-		}
-		if !dxs[rank].AllClose(dx, 1e-4) {
-			t.Fatalf("rank %d: DistMoE input grad differs from LocalMoE", rank)
-		}
+		wantOut[rank] = local.Forward(x).Clone()
+		wantDx[rank] = local.Backward(tensor.Ones(tokens, d)).Clone()
 		for _, p := range local.Params() {
 			if acc, ok := expertGradSum[p.Name]; ok {
 				tensor.AddInPlace(acc, p.G)
 			} else {
 				expertGradSum[p.Name] = p.G.Clone()
+			}
+		}
+	}
+	for _, algo := range []A2AAlgo{Auto, Direct, Pairwise, Hierarchical, Bruck} {
+		outs, dxs := runDist(t, algo, seed)
+		for rank := 0; rank < P; rank++ {
+			if !sameBits(outs[rank], wantOut[rank]) {
+				t.Fatalf("%v rank %d: forward differs from the one-rank layer", algo, rank)
+			}
+			if !sameBits(dxs[rank], wantDx[rank]) {
+				t.Fatalf("%v rank %d: input grad differs from the one-rank layer", algo, rank)
 			}
 		}
 	}

@@ -15,29 +15,27 @@ type SendBuf struct {
 	data   []float32 // pooled, len = sum(counts)
 	counts []int
 	offs   []int
-	fill   []int // append cursor per destination
-	meta   [][]int
+	fill   []int   // append cursor per destination
+	meta   [][]int // nil until the first AppendMeta
 }
 
 // NewSendBuf sizes a send buffer for counts[d] floats per destination
 // over one pooled backing slice.
 func NewSendBuf(counts []int) *SendBuf {
-	offs := make([]int, len(counts))
+	p := len(counts)
+	ints := make([]int, 3*p) // counts, offs and fill in one allocation
+	b := &SendBuf{counts: ints[:p:p], offs: ints[p : 2*p : 2*p], fill: ints[2*p:]}
+	copy(b.counts, counts)
 	total := 0
 	for d, n := range counts {
 		if n < 0 {
 			panic(fmt.Sprintf("mpi: negative send count %d for dst %d", n, d))
 		}
-		offs[d] = total
+		b.offs[d] = total
 		total += n
 	}
-	return &SendBuf{
-		data:   tensor.GetSlice(total),
-		counts: append([]int(nil), counts...),
-		offs:   offs,
-		fill:   make([]int, len(counts)),
-		meta:   make([][]int, len(counts)),
-	}
+	b.data = tensor.GetSlice(total)
+	return b
 }
 
 // Append copies row into the next free slot of dst's region.
@@ -54,6 +52,9 @@ func (b *SendBuf) Append(dst int, row []float32) {
 // AppendMeta records one metadata int for dst; metadata rides in the
 // same message as dst's payload.
 func (b *SendBuf) AppendMeta(dst int, v int) {
+	if b.meta == nil {
+		b.meta = make([][]int, len(b.counts))
+	}
 	b.meta[dst] = append(b.meta[dst], v)
 }
 
@@ -64,7 +65,12 @@ func (b *SendBuf) Chunk(dst int) []float32 {
 }
 
 // Meta returns the metadata recorded for dst.
-func (b *SendBuf) Meta(dst int) []int { return b.meta[dst] }
+func (b *SendBuf) Meta(dst int) []int {
+	if b.meta == nil {
+		return nil
+	}
+	return b.meta[dst]
+}
 
 // Count returns the number of floats destined to dst.
 func (b *SendBuf) Count(dst int) int { return b.counts[dst] }

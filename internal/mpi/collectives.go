@@ -233,27 +233,49 @@ func (c *Comm) AllReduceHier(data []float32, op ReduceOp) []float32 {
 	return c.localBcast(seq, 2, members, myLeader, local)
 }
 
-// supernodeGroup computes, for this rank, the comm ranks sharing its
+// snGroup is this rank's supernode group within a communicator. The
+// group and topology are fixed for the comm's lifetime, so it is built
+// once (see supernodeGroup); every field is read-only afterwards.
+type snGroup struct {
+	members   []int       // comm ranks sharing this rank's supernode, ascending
+	inSN      []bool      // comm rank -> in members
+	leaderIdx map[int]int // leader comm rank -> index among all leaders
+	myLeader  int
+}
+
+// supernodeGroup returns, for this rank, the comm ranks sharing its
 // supernode (members, sorted ascending), a map from leader comm rank
-// to its index among all leaders, and this rank's leader.
+// to its index among all leaders, and this rank's leader. The results
+// are cached on the comm and must not be modified.
 func (c *Comm) supernodeGroup() (members []int, leaderIdx map[int]int, myLeader int) {
+	g := c.snGroupOf()
+	return g.members, g.leaderIdx, g.myLeader
+}
+
+func (c *Comm) snGroupOf() *snGroup {
+	if c.sn != nil {
+		return c.sn
+	}
 	t := c.Topology()
 	mySN := t.Supernode(c.group[c.rank])
-	leaderIdx = make(map[int]int)
+	g := &snGroup{leaderIdx: make(map[int]int), inSN: make([]bool, c.Size())}
 	seen := make(map[int]int) // supernode -> leader comm rank
 	nLeaders := 0
 	for r := 0; r < c.Size(); r++ {
 		sn := t.Supernode(c.group[r])
 		if _, ok := seen[sn]; !ok {
 			seen[sn] = r
-			leaderIdx[r] = nLeaders
+			g.leaderIdx[r] = nLeaders
 			nLeaders++
 		}
 		if sn == mySN {
-			members = append(members, r)
+			g.members = append(g.members, r)
+			g.inSN[r] = true
 		}
 	}
-	return members, leaderIdx, seen[mySN]
+	g.myLeader = seen[mySN]
+	c.sn = g
+	return g
 }
 
 // leaders lists all leader comm ranks in first-appearance order,

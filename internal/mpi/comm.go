@@ -37,9 +37,11 @@ type Comm struct {
 	// Lazily built topology caches (group and topology are fixed for
 	// the comm's lifetime; a Comm is owned by one rank's goroutine, so
 	// no locking is needed). snLeader maps supernode id -> leader comm
-	// rank; leaderList holds leaders in first-appearance order.
+	// rank; leaderList holds leaders in first-appearance order; sn is
+	// this rank's supernode group.
 	snLeader   map[int]int
 	leaderList []int
+	sn         *snGroup
 }
 
 func newWorldComm(w *World, rank int) *Comm {
@@ -56,6 +58,12 @@ func newWorldComm(w *World, rank int) *Comm {
 		nextChildID: 1,
 	}
 }
+
+// SelfComm returns the communicator of a fresh one-rank world on the
+// zero-cost uniform topology, for use outside Run: layers built on a
+// communicator run their single-rank case on it. Every exchange is a
+// self copy that costs no virtual time.
+func SelfComm() *Comm { return newWorldComm(NewWorld(1, nil), 0) }
 
 // Rank returns this process's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }

@@ -327,11 +327,8 @@ func (c *Comm) BeginExchange(algo Algo, codec Codec) *Exchange {
 	}
 	// "Local" means same-supernode for every algorithm, so RecvLocal/
 	// RecvRemote split identically whichever schedule runs.
-	e.members, e.leaderIdx, e.myLeader = c.supernodeGroup()
-	e.inSN = make([]bool, c.Size())
-	for _, m := range e.members {
-		e.inSN[m] = true
-	}
+	g := c.snGroupOf()
+	e.members, e.leaderIdx, e.myLeader, e.inSN = g.members, g.leaderIdx, g.myLeader, g.inSN
 	switch algo {
 	case Hierarchical:
 		e.isLeader = c.rank == e.myLeader
@@ -487,9 +484,10 @@ func absorbDirect(m message, rel *relList) seg {
 // into one flat pooled RecvBuf, then releases all staging buffers.
 func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 	p := e.c.Size()
+	ints := make([]int, 2*p) // counts and offs in one allocation
 	b := &RecvBuf{
-		counts: make([]int, p),
-		offs:   make([]int, p),
+		counts: ints[:p:p],
+		offs:   ints[p:],
 		meta:   make([][]int, p),
 		srcs:   srcs,
 	}

@@ -35,7 +35,7 @@ func TestParamFormulasMatchRealModel(t *testing.T) {
 		t.Fatalf("dense model params %d, formula %d", got, want)
 	}
 
-	// MoE model: build with LocalMoE in every block.
+	// MoE model: a single-rank MoE layer in every block.
 	r = tensor.NewRNG(2)
 	gm := nn.NewGPT(nn.GPTConfig{
 		Vocab: spec.Vocab, Dim: spec.Dim, Heads: spec.Heads,

@@ -62,7 +62,10 @@ func numel(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// Format a copy so shape itself does not escape: callers
+			// such as Get and Scratch keep their variadic shape on the
+			// stack.
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}

@@ -55,7 +55,8 @@ type Metrics struct {
 
 	// Wire traffic and exchange-phase time of this step's MoE
 	// dispatch/combine exchanges (zero when the model has no
-	// CommReporter layers or runs on a single rank). Wire is the
+	// CommReporter layers; single-rank MoE layers report their
+	// self-copy bytes at simnet.SelfLevel). Wire is the
 	// per-step delta of the layers' cumulative counters; Comm is the
 	// matching phase breakdown.
 	Wire mpi.WireStats
