@@ -90,15 +90,45 @@ func Latest(dir string) (int64, error) {
 	return best, nil
 }
 
-// ReadManifest loads the commit record of one step.
+// ManifestError reports a MANIFEST.json that does not describe a
+// restorable checkpoint of the step it was read for.
+type ManifestError struct {
+	Step   int64
+	Reason string
+}
+
+func (e *ManifestError) Error() string {
+	return fmt.Sprintf("ckpt: bad manifest for step %d: %s", e.Step, e.Reason)
+}
+
+// ReadManifest loads the commit record of one step. A manifest that
+// does not decode, or that disagrees with what the writer commits —
+// its own step, at least one shard, one file per shard, each a plain
+// name inside the step directory — is a *ManifestError.
 func ReadManifest(dir string, step int64) (Manifest, error) {
 	var m Manifest
 	raw, err := os.ReadFile(filepath.Join(StepDir(dir, step), manifestName))
 	if err != nil {
 		return m, err
 	}
+	bad := func(format string, args ...any) (Manifest, error) {
+		return Manifest{}, &ManifestError{Step: step, Reason: fmt.Sprintf(format, args...)}
+	}
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, fmt.Errorf("ckpt: bad manifest for step %d: %w", step, err)
+		return bad("%v", err)
+	}
+	switch {
+	case m.Step != step:
+		return bad("records step %d", m.Step)
+	case m.Shards < 1:
+		return bad("%d shards", m.Shards)
+	case len(m.Files) != m.Shards:
+		return bad("%d files for %d shards", len(m.Files), m.Shards)
+	}
+	for _, name := range m.Files {
+		if name != filepath.Base(name) || name == "." || name == ".." {
+			return bad("shard file %q is not a plain file name", name)
+		}
 	}
 	return m, nil
 }
