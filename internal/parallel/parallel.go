@@ -39,6 +39,7 @@ import (
 	"bagualu/internal/nn"
 	"bagualu/internal/parallel/layout"
 	"bagualu/internal/parallel/pipe"
+	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
 	"bagualu/internal/train"
@@ -496,8 +497,8 @@ func (e *Engine) buildRunner() {
 }
 
 // chunkForwardFlops prices one micro-batch forward pass of each global
-// chunk, mirroring stepFlops' analytic convention (2 FLOPs per active
-// parameter per token forward plus the attention quadratic term). The
+// chunk: perfmodel.TokenFlops at 2 FLOPs per active parameter over the
+// chunk's blocks. The
 // expert share is included only when the MoE layers do not self-charge
 // their GEMMs inline on the virtual clock.
 func (e *Engine) chunkForwardFlops() []float64 {
@@ -533,8 +534,7 @@ func (e *Engine) chunkForwardFlops() []float64 {
 			ps = append(ps, e.Model.Head.Params()...)
 		}
 		active += float64(nn.NumParams(ps))
-		quad := 4 * float64(c.Blocks()) * float64(e.Model.Cfg.SeqLen) * float64(e.Model.Cfg.Dim)
-		out[g] = tokens * (2*active + quad)
+		out[g] = tokens * perfmodel.TokenFlops(2, active, c.Blocks(), e.Model.Cfg.SeqLen, e.Model.Cfg.Dim)
 	}
 	return out
 }
@@ -633,8 +633,7 @@ func (e *Engine) phaseDelta(name string) float64 {
 }
 
 // stepFlops estimates forward+backward FLOPs for one local batch:
-// 6 FLOPs per active parameter per token plus the attention
-// quadratic term.
+// perfmodel.TokenFlops at 6 FLOPs per active parameter.
 func (e *Engine) stepFlops() float64 {
 	tokens := float64(e.batch * e.Model.Cfg.SeqLen)
 	active := float64(nn.NumParams(e.denseParams))
@@ -643,8 +642,7 @@ func (e *Engine) stepFlops() float64 {
 		// drained rank hosts zero experts but still routes tokens.
 		active += float64(m.Cfg.TopK) * float64(m.PerExpertParams())
 	}
-	quad := 12 * float64(e.Model.Cfg.Layers) * float64(e.Model.Cfg.SeqLen) * float64(e.Model.Cfg.Dim)
-	return tokens * (6*active + quad)
+	return tokens * perfmodel.TokenFlops(6, active, e.Model.Cfg.Layers, e.Model.Cfg.SeqLen, e.Model.Cfg.Dim)
 }
 
 // expertFlops estimates the expert share of stepFlops — the FLOPs the

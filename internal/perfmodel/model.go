@@ -118,12 +118,19 @@ func (s ModelSpec) ActiveParamsPerToken() int64 {
 	return active
 }
 
-// FlopsPerToken estimates forward+backward FLOPs per token. The
-// standard estimate is 6·N_active (2 for forward, 4 for backward)
-// plus the attention quadratic term 12·L·S·d.
+// TokenFlops is the one dense-plus-attention FLOP formula per token:
+// perParam FLOPs per active parameter (2 for a forward pass, 6 for
+// forward plus backward) plus the attention quadratic term at the
+// same pass multiplier, 2·perParam·layers·seqLen·dim.
+func TokenFlops(perParam, active float64, layers, seqLen, dim int) float64 {
+	return perParam*active + 2*perParam*float64(layers)*float64(seqLen)*float64(dim)
+}
+
+// FlopsPerToken estimates forward+backward FLOPs per token: the
+// standard 6·N_active (2 for forward, 4 for backward) plus the
+// attention quadratic term 12·L·S·d.
 func (s ModelSpec) FlopsPerToken() float64 {
-	return 6*float64(s.ActiveParamsPerToken()) +
-		12*float64(s.Layers)*float64(s.SeqLen)*float64(s.Dim)
+	return TokenFlops(6, float64(s.ActiveParamsPerToken()), s.Layers, s.SeqLen, s.Dim)
 }
 
 // String summarizes the spec.
